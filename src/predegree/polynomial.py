@@ -8,13 +8,16 @@ implements the class-level route to those numbers: the twist of a class by a
 line bundle, coefficient extraction from a (partial) Segre class of the base
 locus, the Chern-character form, and the closed-form degrees and dimension
 counts used to assemble the quadric tables.
+
+On P^N everything is an integer binomial series, so nothing here inverts a
+class: the twist by O(t) sends s_j H^j to s_j sum_k C(j+k-1, k) (-t)^k H^{j+k},
+and a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, isqrt
 
 from .chow import ChowClass, ProductSpace
@@ -88,43 +91,42 @@ def format_polynomial(coeffs) -> str:
     return " + ".join(pieces) if pieces else "0"
 
 
-@lru_cache(maxsize=None)
-def _twist_inverse_power(ambient_total_dim: int, twist: int, j: int) -> ChowClass:
-    """(1 + twist*H)^{-j} on P^N, cached because the twist reuses them heavily."""
-    ambient = ProductSpace((ambient_total_dim,))
-    if j == 0:
-        return ChowClass.one(ambient)
-    if j == 1:
-        h = ChowClass.hyperplane(ambient)
-        return (ChowClass.one(ambient) + twist * h).invert_unit()
-    half = _twist_inverse_power(ambient_total_dim, twist, j // 2)
-    result = half * half
-    if j % 2:
-        result = result * _twist_inverse_power(ambient_total_dim, twist, 1)
-    return result
-
-
 def tensor_class(cls: ChowClass, twist: int) -> ChowClass:
     """Twist of a class on a single projective space by O(twist).
 
-    Acts on the codimension-j piece by division by (1 + twist*H)^j; the
+    Acts on the codimension-j piece by division by (1 + twist*H)^j, which is
+    the binomial series s_j H^j sum_k C(j+k-1, k) (-twist)^k H^k; the
     codimension-0 piece is unchanged.
     """
     ambient = cls.ambient
     if ambient.num_factors != 1:
         raise ValueError("the twist is defined on a single projective space")
-    result = ChowClass.zero(ambient)
-    for j in cls.codimensions():
-        result = result + cls.codim_part(j) * _twist_inverse_power(ambient.total_dim, twist, j)
-    return result
+    twisted = [0] * (ambient.total_dim + 1)
+    for (j,), s_j in cls.terms.items():
+        if j == 0:
+            twisted[0] = s_j
+            continue
+        for k in range(ambient.total_dim - j + 1):
+            twisted[j + k] += s_j * comb(j + k - 1, k) * (-twist) ** k
+    return ChowClass(ambient, {(c,): value for c, value in enumerate(twisted)})
 
 
-@lru_cache(maxsize=None)
-def _degree_series(ambient_total_dim: int, d: int) -> ChowClass:
-    """(1 - d*H)^{-1} on P^N, cached per (N, d)."""
-    ambient = ProductSpace((ambient_total_dim,))
-    h = ChowClass.hyperplane(ambient)
-    return (ChowClass.one(ambient) - d * h).invert_unit()
+def _coefficients(n_total: int, d: int, segre_class: ChowClass | None, indices) -> list[int]:
+    """Multidegrees a_i at the given indices, read off the Segre class in closed form.
+
+    The degree of H^{N-i} (1 - dH)^{-1} ([P^N] - S twisted by O(-d)) folds,
+    by the hockey-stick identity, into a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j.
+    """
+    terms = {} if segre_class is None else segre_class.terms
+    if terms and segre_class.ambient != ProductSpace((n_total,)):
+        raise ValueError("the Segre class must live on the same projective space")
+    coeffs = []
+    for i in indices:
+        value = d ** i - sum(comb(i, j) * d ** (i - j) * terms.get((j,), 0) for j in range(i + 1))
+        if value.denominator != 1:
+            raise IntegralityError(f"coefficient a_{i} evaluated to the non-integer {value}")
+        coeffs.append(int(value))
+    return coeffs
 
 
 def predegree_coefficient(ambient_total_dim: int, d: int, segre_class: ChowClass | None, i: int) -> int:
@@ -134,22 +136,9 @@ def predegree_coefficient(ambient_total_dim: int, d: int, segre_class: ChowClass
     Evaluates the degree of H^{N-i} (1 - dH)^{-1} ([P^N] - S twisted by O(-d))
     and insists on an integer result.
     """
-    n_total = ambient_total_dim
-    if not 0 <= i <= n_total:
+    if not 0 <= i <= ambient_total_dim:
         raise ValueError("coefficient index out of range")
-    ambient = ProductSpace((n_total,))
-    one = ChowClass.one(ambient)
-    if segre_class is None or segre_class.is_zero:
-        bracket = one
-    else:
-        if segre_class.ambient != ambient:
-            raise ValueError("the Segre class must live on the same projective space")
-        bracket = one - tensor_class(segre_class, -d)
-    h = ChowClass.hyperplane(ambient)
-    value = (h ** (n_total - i) * _degree_series(n_total, d) * bracket).integrate()
-    if value.denominator != 1:
-        raise IntegralityError(f"coefficient a_{i} evaluated to the non-integer {value}")
-    return int(value)
+    return _coefficients(ambient_total_dim, d, segre_class, [i])[0]
 
 
 def predegree_from_segre(
@@ -166,9 +155,7 @@ def predegree_from_segre(
     n = isqrt(ambient_total_dim + 1) - 1
     if (n + 1) ** 2 != ambient_total_dim + 1:
         raise ValueError("ambient dimension is not of the form n^2 + 2n")
-    coeffs = [
-        predegree_coefficient(ambient_total_dim, d, segre_class, i) for i in range(orbit_dim + 1)
-    ]
+    coeffs = _coefficients(ambient_total_dim, d, segre_class, range(orbit_dim + 1))
     coeffs += [0] * (ambient_total_dim - orbit_dim)
     return PredegreePolynomial(n, tuple(coeffs))
 
@@ -193,7 +180,8 @@ def deg_so(m: int) -> int:
         for i in range(1, size + 1)
     ]
     value = det(matrix)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise IntegralityError(f"deg SO({m}) determinant evaluated to the non-integer {value}")
     return 2 ** (m - 1) * int(value)
 
 

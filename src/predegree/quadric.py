@@ -140,6 +140,7 @@ def point_condition_gradient(phi: ProjMatrix, point: Sequence, gram: QuadricGram
 
 
 def _segre_rows(p: Vector, xi: Matrix, interleave: bool) -> Matrix:
+    """The bilinear ruling map, without projectivity checks; interleave picks the second ruling."""
     top, bottom = xi
     if interleave:
         return (
@@ -209,7 +210,8 @@ def predegree_quadric_p3() -> PredegreePolynomial:
 
     The coefficients come out as (1, 2, 4, 8, 16, 32, 64, 112, 140, 40).
     """
-    assert BASE_INTERSECTION_CODIM > ORBIT_DIM_P3
+    if BASE_INTERSECTION_CODIM <= ORBIT_DIM_P3:
+        raise ArithmeticError("the component intersection is too large to drop from the class")
     n_total = 15
     return predegree_from_segre(n_total, 2, doubled_ruling_segre_class(), ORBIT_DIM_P3)
 

@@ -2,12 +2,16 @@
 
 Covers the pushforward of monomial classes along a Segre embedding, the
 inverse Chern class of the normal bundle to the embedded product, and the
-resulting pushed-forward Segre class of the image.
+resulting pushed-forward Segre class of the image.  The inverse Chern class
+is the product of two classes written down coefficient by coefficient,
+prod C(n_i + 1, e_i) and (-1)^|e| C(m + |e|, |e|) multinomial(e), so it
+needs neither powers nor an inverse in the Chow ring.
 """
 
 from __future__ import annotations
 
-from math import factorial, prod
+from itertools import product
+from math import comb, factorial, prod
 
 from .chow import ChowClass, ProductSpace
 
@@ -57,20 +61,22 @@ def normal_inverse_chern(space: ProductSpace) -> ChowClass:
     """Inverse Chern class of the normal bundle to the Segre-embedded product.
 
     Equals prod (1 + h_i)^{n_i + 1} / (1 + sum h_i)^{m + 1} where m is the
-    dimension of the target projective space.
+    dimension of the target projective space.  Both factors are binomial
+    series over the exponent box e_i <= n_i: the numerator has coefficients
+    prod C(n_i + 1, e_i) and the inverse of the denominator has coefficients
+    (-1)^|e| C(m + |e|, |e|) multinomial(e).
     """
     if space.num_factors < 2:
         raise ValueError("a Segre embedding needs at least two factors")
     m = ambient_dim(space)
-    one = ChowClass.one(space)
-    numerator = one
-    hyperplane_sum = ChowClass.zero(space)
-    for i, n in enumerate(space.factor_dims):
-        h = ChowClass.hyperplane(space, i)
-        numerator = numerator * (one + h) ** (n + 1)
-        hyperplane_sum = hyperplane_sum + h
-    denominator = (one + hyperplane_sum) ** (m + 1)
-    return numerator * denominator.invert_unit()
+    box = list(product(*(range(n + 1) for n in space.factor_dims)))
+    numerator = ChowClass(
+        space, {e: prod(comb(n + 1, e_i) for e_i, n in zip(e, space.factor_dims)) for e in box}
+    )
+    denominator_inverse = ChowClass(
+        space, {e: (-1) ** sum(e) * comb(m + sum(e), sum(e)) * multinomial(e) for e in box}
+    )
+    return numerator * denominator_inverse
 
 
 def segre_class_pushforward(space: ProductSpace) -> ChowClass:

@@ -18,8 +18,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import LinearSubspace, Matrix, Vector, dot, flatten, is_zero_vector, mat, outer, rank, vec
-from .quadric import SEGRE_QUADRIC, ProjMatrix, QuadricGram, point_condition_gradient, sigma1
+from .linalg import LinearSubspace, Matrix, Vector, dot, flatten, is_zero_vector, outer, rank, vec
+from .quadric import (
+    SEGRE_QUADRIC,
+    ProjMatrix,
+    QuadricGram,
+    _segre_rows,
+    _validated_ruling_input,
+    point_condition_gradient,
+    sigma1,
+)
 
 # e_i and e_i + e_j: enough points to span every symmetric tensor q q^T.
 POLARIZATION_POINTS: tuple[Vector, ...] = tuple(
@@ -53,50 +61,24 @@ def gradient_span(phi: ProjMatrix, gram: QuadricGram = SEGRE_QUADRIC) -> LinearS
     return LinearSubspace.span(gradients, MATRIX_SPACE_DIM)
 
 
-def _ruling_lift(which: int, s: Sequence, t_matrix: Matrix) -> Vector:
-    """Bilinear lift of the ruling parameterization, without projectivity checks."""
-    s0, s1 = vec(s)
-    top, bottom = t_matrix
-    if which == 1:
-        rows = (
-            tuple(s0 * t for t in top),
-            tuple(s0 * t for t in bottom),
-            tuple(s1 * t for t in top),
-            tuple(s1 * t for t in bottom),
-        )
-    else:
-        rows = (
-            tuple(s0 * t for t in top),
-            tuple(s1 * t for t in top),
-            tuple(s0 * t for t in bottom),
-            tuple(s1 * t for t in bottom),
-        )
-    return flatten(rows)
-
-
 def tangent_ruling_component(which: int, p: Sequence, xi: Sequence[Sequence]) -> LinearSubspace:
     """Embedded tangent space to a ruling component at the point (p, xi).
 
-    Spanned by the lifts of the eight coordinate directions in the P^7 factor
-    and the two coordinate directions in the P^1 factor; the result always has
-    linear dimension 9 (a projective P^8).
+    Spanned by the images under the bilinear ruling map of the eight
+    coordinate directions in the P^7 factor and the two coordinate directions
+    in the P^1 factor; the result always has linear dimension 9 (a projective
+    P^8).
     """
     if which not in (1, 2):
         raise ValueError("the ruling component index is 1 or 2")
-    pv = vec(p)
-    xim = mat(xi)
-    if len(pv) != 2 or is_zero_vector(pv):
-        raise ValueError("expected a nonzero point of P^1")
-    if len(xim) != 2 or any(len(r) != 4 for r in xim) or all(is_zero_vector(r) for r in xim):
-        raise ValueError("expected a nonzero 2x4 matrix")
+    pv, xim = _validated_ruling_input(p, xi)
+    interleave = which == 2
     directions = []
     for j in range(8):
-        unit = [Fraction(0)] * 8
-        unit[j] = Fraction(1)
-        t_matrix = (tuple(unit[:4]), tuple(unit[4:]))
-        directions.append(_ruling_lift(which, pv, t_matrix))
-    directions.append(_ruling_lift(which, (1, 0), xim))
-    directions.append(_ruling_lift(which, (0, 1), xim))
+        unit = tuple(Fraction(int(c == j)) for c in range(8))
+        directions.append(flatten(_segre_rows(pv, (unit[:4], unit[4:]), interleave)))
+    for unit in ((1, 0), (0, 1)):
+        directions.append(flatten(_segre_rows(vec(unit), xim, interleave)))
     return LinearSubspace.span(directions, MATRIX_SPACE_DIM)
 
 
@@ -263,8 +245,11 @@ class TangentReport:
 def run_tangent_checks(seed: int = 0, samples: int = 20) -> TangentReport:
     """Run the full battery of tangent-space checks.
 
-    Failures report the seed so any run can be reproduced exactly.
+    Failures report the seed so any run can be reproduced exactly.  At least
+    one sample is required, so the random checks never pass vacuously.
     """
+    if samples < 1:
+        raise ValueError("the tangent checks need at least one random sample")
     rng = random.Random(seed)
     checks: list[CheckResult] = []
 

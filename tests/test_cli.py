@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from predegree import cli
+from predegree import cli, polynomial
 from predegree.polynomial import IntegralityError
 from predegree.tangent import CheckResult, TangentReport
 
@@ -168,5 +169,21 @@ def test_integrality_failure_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "predegree_coefficient", boom)
     code, _, err = run_cli(capsys, "coeff", "--i", "3")
+    assert code == 3
+    assert "integrality" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_tangents_needs_samples(capsys, samples):
+    code, out, err = run_cli(capsys, "verify", "tangents", "--samples", samples)
+    assert code == 2
+    assert out == "" and "error" in err
+
+
+def test_deg_so_integrality_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(polynomial, "det", lambda matrix: Fraction(1, 2))
+    with pytest.raises(IntegralityError):
+        polynomial.deg_so(4)
+    code, _, err = run_cli(capsys, "deg-so", "--m", "4")
     assert code == 3
     assert "integrality" in err

@@ -1,8 +1,11 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predegree.chow import ChowClass, ProductSpace
 from predegree.polynomial import (
@@ -223,3 +226,75 @@ def test_max_component_dim_consistency_with_pipeline():
     assert 15 - max_component_dim(3) == 7
     poly = predegree_from_segre(15, 2, doubled_ruling_segre_class(), 9)
     assert poly.coeffs[:7] == tuple(2 ** i for i in range(7))
+
+
+# -- closed forms against the generic Chow-ring route ------------------------
+
+
+def twist_reference(cls, twist):
+    """The codimension-j piece times (1 + twist*H)^{-j}, by generic inversion."""
+    inverse = (1 + twist * ChowClass.hyperplane(cls.ambient)).invert_unit()
+    pieces = (cls.codim_part(j) * inverse ** j for j in cls.codimensions())
+    return sum(pieces, ChowClass.zero(cls.ambient))
+
+
+def coefficient_reference(cls, d, i):
+    """deg H^{N-i} (1 - dH)^{-1} ([P^N] - S twisted by O(-d)), unrounded."""
+    h = ChowClass.hyperplane(cls.ambient)
+    n_total = cls.ambient.total_dim
+    bracket = 1 - twist_reference(cls, -d)
+    return (h ** (n_total - i) * (1 - d * h).invert_unit() * bracket).integrate()
+
+
+def projective_classes(dims, integers=st.integers(-99, 99)):
+    coeffs = st.one_of(integers, st.fractions(min_value=-10, max_value=10, max_denominator=4))
+
+    def classes_on(n_total):
+        exponents = st.integers(0, n_total).map(lambda j: (j,))
+        terms = st.dictionaries(exponents, coeffs, min_size=1, max_size=8)
+        return terms.map(lambda t: ChowClass(ProductSpace((n_total,)), t))
+
+    return dims.flatmap(classes_on)
+
+
+@settings(max_examples=60, deadline=None)
+@given(projective_classes(st.integers(0, 15)), st.integers(-4, 4))
+def test_tensor_class_matches_generic_inversion(cls, twist):
+    assert tensor_class(cls, twist) == twist_reference(cls, twist)
+
+
+@settings(max_examples=60, deadline=None)
+@given(projective_classes(st.integers(0, 15)), st.integers(1, 4), st.data())
+def test_coefficient_matches_generic_inversion(cls, d, data):
+    n_total = cls.ambient.total_dim
+    i = data.draw(st.integers(0, n_total))
+    expected = coefficient_reference(cls, d, i)
+    if expected.denominator != 1:
+        message = re.escape(f"a_{i} evaluated to the non-integer {expected}")
+        with pytest.raises(IntegralityError, match=message):
+            predegree_coefficient(n_total, d, cls, i)
+    else:
+        assert predegree_coefficient(n_total, d, cls, i) == expected
+
+
+# Mostly non-positive integer s_j keep many polynomials non-negative.
+@settings(max_examples=40, deadline=None)
+@given(
+    projective_classes(st.sampled_from([3, 8, 15]), st.integers(-9, 1)), st.integers(1, 4), st.data()
+)
+def test_polynomial_matches_generic_inversion(cls, d, data):
+    n_total = cls.ambient.total_dim
+    orbit_dim = data.draw(st.integers(0, n_total))
+    expected = [coefficient_reference(cls, d, i) for i in range(orbit_dim + 1)]
+    fractional = [i for i, value in enumerate(expected) if value.denominator != 1]
+    if fractional:
+        i = fractional[0]
+        message = re.escape(f"a_{i} evaluated to the non-integer {expected[i]}")
+        with pytest.raises(IntegralityError, match=message):
+            predegree_from_segre(n_total, d, cls, orbit_dim)
+    elif any(value < 0 for value in expected):
+        with pytest.raises(ValueError, match="negative"):
+            predegree_from_segre(n_total, d, cls, orbit_dim)
+    else:
+        poly = predegree_from_segre(n_total, d, cls, orbit_dim)
+        assert poly.coeffs == tuple(expected) + (0,) * (n_total - orbit_dim)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from predegree import quadric
 from predegree.linalg import vec
 from predegree.polynomial import deg_po
 from predegree.quadric import (
@@ -249,3 +250,9 @@ def test_table2_counts():
     ]
     # the top row divides the top coefficient by the stabilizer degree
     assert rows[9][1] == predegree_quadric_p3().coeffs[9] // deg_po(4)
+
+
+def test_predegree_quadric_p3_checks_truncation_inequality(monkeypatch):
+    monkeypatch.setattr(quadric, "BASE_INTERSECTION_CODIM", ORBIT_DIM_P3)
+    with pytest.raises(ArithmeticError):
+        predegree_quadric_p3()

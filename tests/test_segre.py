@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predegree.chow import ChowClass, ProductSpace
 from predegree.segre import (
@@ -132,3 +134,26 @@ def test_segre_class_leading_term_is_variety_degree(dims):
     codim = ambient_dim(space) - space.total_dim
     assert min(pushed.codimensions()) == codim
     assert pushed.coefficient((codim,)) == multinomial(space.factor_dims)
+
+
+def normal_inverse_reference(space):
+    """prod (1 + h_i)^{n_i + 1} / (1 + sum h_i)^{m + 1} by powers and generic inversion."""
+    one = ChowClass.one(space)
+    hyperplanes = [ChowClass.hyperplane(space, i) for i in range(space.num_factors)]
+    numerator = one
+    for h, n in zip(hyperplanes, space.factor_dims):
+        numerator = numerator * (one + h) ** (n + 1)
+    denominator = (one + sum(hyperplanes, ChowClass.zero(space))) ** (ambient_dim(space) + 1)
+    return numerator * denominator.invert_unit()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    )
+)
+def test_normal_inverse_chern_matches_generic_inversion(dims):
+    space = ProductSpace(dims)
+    assert normal_inverse_chern(space) == normal_inverse_reference(space)
