@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import prod
 
 from . import segre
 from .chow import ProductSpace
@@ -28,6 +29,10 @@ EXIT_USAGE = 2
 EXIT_INTEGRALITY = 3
 
 _INT64_MAX = 2**63 - 1
+
+# The Segre pushforward costs the square of the exponent box prod(n_i + 1) in
+# term pairs, so the CLI refuses boxes beyond this size (15,15 is at the limit).
+MAX_SEGRE_BOX = 256
 
 
 def json_int(value: int):
@@ -56,6 +61,14 @@ def parse_rational_list(raw: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {raw!r}") from exc
 
 
+def _segre_space(factors: list[int]) -> ProductSpace:
+    space = ProductSpace(tuple(factors))
+    box = prod(n + 1 for n in space.factor_dims)
+    if box > MAX_SEGRE_BOX:
+        raise ValueError(f"the Segre factor box prod(n_i + 1) = {box} exceeds the limit of {MAX_SEGRE_BOX}")
+    return space
+
+
 def cmd_predegree(args) -> int:
     row = table1_row(args.n)
     coeffs = [None if c is None else json_int(c) for c in row.coeffs]
@@ -74,7 +87,7 @@ def cmd_predegree(args) -> int:
 
 
 def cmd_segre_class(args) -> int:
-    space = ProductSpace(tuple(args.factors))
+    space = _segre_space(args.factors)
     cls = segre.segre_class_pushforward(space)
     payload = {
         "command": "segre-class",
@@ -156,7 +169,7 @@ def cmd_member(args) -> int:
 
 
 def cmd_coeff(args) -> int:
-    space = ProductSpace(tuple(args.segre_factors))
+    space = _segre_space(args.segre_factors)
     cls = segre.segre_class_pushforward(space)
     if args.double:
         cls = 2 * cls
@@ -190,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predegree)
 
     p = sub.add_parser("segre-class", help="pushed-forward Segre class of a Segre embedding")
-    p.add_argument("--factors", type=parse_int_list, required=True, metavar="n1,n2,...")
+    p.add_argument("--factors", type=parse_int_list, required=True, metavar="n1,n2,...",
+                   help=f"factor dimensions, with prod(n_i + 1) at most {MAX_SEGRE_BOX}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_segre_class)
 
@@ -219,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeff", help="single predegree coefficient from a Segre class")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--segre-factors", type=parse_int_list, default=[1, 7], metavar="n1,n2,...")
+    p.add_argument("--segre-factors", type=parse_int_list, default=[1, 7], metavar="n1,n2,...",
+                   help=f"Segre factor dimensions, with prod(n_i + 1) at most {MAX_SEGRE_BOX}")
     p.add_argument("--double", action="store_true", help="use twice the Segre class")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_coeff)

@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of ``fractions.Fraction`` and matrices are tuples of such
-row vectors.  Every elimination here is exact; there is no floating point and
-no tolerance anywhere in the package.
+row vectors.  One fraction-free integer elimination does every reduction:
+each row is cleared of denominators once, and rref, rank, det, subspace
+membership and (Zassenhaus) intersection all read their answer off it.  There
+is no floating point and no tolerance anywhere in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -56,34 +59,55 @@ def flatten(m: Matrix) -> Vector:
     return tuple(x for row in m for x in row)
 
 
-def rref(rows: Iterable[Sequence]) -> Matrix:
-    """Reduced row echelon form with zero rows dropped."""
-    work = [list(vec(r)) for r in rows]
-    if not work:
-        return ()
-    ncols = len(work[0])
+def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], int, int, int]:
+    """Fraction-free Gauss-Jordan elimination over the integers (Bareiss).
+
+    Each row is multiplied once by the lcm of its denominators; ``scale`` is
+    the product of those multipliers.  Each pivot d (previous pivot prev) turns
+    every other row into (d*a - f*b) // prev, an exact division because every
+    entry is a minor of the cleared matrix.  Returns the pivot rows in order of
+    their pivot columns, every pivot equal to the last one d; d; the sign of
+    the row swaps; and scale.
+    """
+    work = []
+    scale = 1
+    for row in rows:
+        entries = vec(row)
+        multiplier = lcm(*(x.denominator for x in entries))
+        work.append([x.numerator * (multiplier // x.denominator) for x in entries])
+        scale *= multiplier
+    ncols = len(work[0]) if work else 0
     if any(len(r) != ncols for r in work):
         raise ValueError("rows of unequal length")
-    pivot_row = 0
+    sign, prev, found = 1, 1, 0
     for col in range(ncols):
-        pivot = next((i for i in range(pivot_row, len(work)) if work[i][col] != 0), None)
+        if found == len(work):
+            break
+        pivot = next((i for i in range(found, len(work)) if work[i][col]), None)
         if pivot is None:
             continue
-        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
-        inv = 1 / work[pivot_row][col]
-        work[pivot_row] = [x * inv for x in work[pivot_row]]
-        for i in range(len(work)):
-            if i != pivot_row and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    return tuple(tuple(r) for r in work[:pivot_row] if not is_zero_vector(r))
+        if pivot != found:
+            work[found], work[pivot] = work[pivot], work[found]
+            sign = -sign
+        top = work[found]
+        d = top[col]
+        for i, row in enumerate(work):
+            if i != found:
+                f = row[col]
+                work[i] = [(d * a - f * b) // prev for a, b in zip(row, top)]
+        prev = d
+        found += 1
+    return work[:found], prev, sign, scale
+
+
+def rref(rows: Iterable[Sequence]) -> Matrix:
+    """Reduced row echelon form with zero rows dropped."""
+    pivot_rows, d, _, _ = _eliminate(rows)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in pivot_rows)
 
 
 def rank(rows: Iterable[Sequence]) -> int:
-    return len(rref(rows))
+    return len(_eliminate(rows)[0])
 
 
 def nullspace(rows: Iterable[Sequence]) -> list[Vector]:
@@ -105,32 +129,19 @@ def nullspace(rows: Iterable[Sequence]) -> list[Vector]:
 
 
 def det(rows: Iterable[Sequence]) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination.
+    """Determinant from the integer elimination.
 
-    For integer input every intermediate division is exact in the integers;
-    rational input works the same way with exact Fraction division.
+    At full rank the last pivot d is the determinant of the cleared rows up to
+    the sign of the row swaps, so det = sign * d / scale; otherwise it is 0.
     """
-    m = [list(vec(r)) for r in rows]
+    m = list(rows)
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return Fraction(1)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    pivot_rows, d, sign, scale = _eliminate(m)
+    if len(pivot_rows) < n:
+        return Fraction(0)
+    return Fraction(sign * d, scale)
 
 
 @dataclass(frozen=True)
@@ -163,35 +174,24 @@ class LinearSubspace:
         return self.dim() - 1
 
     def contains(self, v: Sequence) -> bool:
-        reduced = list(vec(v))
-        if len(reduced) != self.ambient_dim:
+        v = vec(v)
+        if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match the ambient dimension")
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x != 0)
-            if reduced[p] != 0:
-                factor = reduced[p]
-                reduced = [a - factor * b for a, b in zip(reduced, row)]
-        return is_zero_vector(reduced)
+        return rank(self.basis + (v,)) == self.dim()
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
         return all(self.contains(b) for b in other.basis)
 
     def intersect(self, other: "LinearSubspace") -> "LinearSubspace":
-        """Exact intersection of two spans.
+        """Exact intersection of two spans (Zassenhaus).
 
-        A vector lies in both spans iff it is u·a with (a, b) in the kernel of
-        the matrix whose columns are the basis vectors of self and other.
+        Row-reduce the rows (u | u), u in self, stacked on (w | 0), w in other:
+        the reduced rows whose left half vanishes carry the reduced basis of
+        the intersection in their right half.
         """
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambient spaces")
-        if not self.basis or not other.basis:
-            return LinearSubspace.span([], self.ambient_dim)
-        columns = transpose(self.basis + other.basis)
-        k = len(self.basis)
-        vectors = []
-        for coeffs in nullspace(columns):
-            combo = [Fraction(0)] * self.ambient_dim
-            for c, row in zip(coeffs[:k], self.basis):
-                combo = [a + c * b for a, b in zip(combo, row)]
-            vectors.append(tuple(combo))
-        return LinearSubspace.span(vectors, self.ambient_dim)
+        n = self.ambient_dim
+        zero = (Fraction(0),) * n
+        reduced = rref([u + u for u in self.basis] + [w + zero for w in other.basis])
+        return LinearSubspace(n, tuple(row[n:] for row in reduced if is_zero_vector(row[:n])))

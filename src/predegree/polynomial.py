@@ -117,9 +117,9 @@ def _coefficients(n_total: int, d: int, segre_class: ChowClass | None, indices) 
     The degree of H^{N-i} (1 - dH)^{-1} ([P^N] - S twisted by O(-d)) folds,
     by the hockey-stick identity, into a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j.
     """
-    terms = {} if segre_class is None else segre_class.terms
-    if terms and segre_class.ambient != ProductSpace((n_total,)):
+    if segre_class is not None and segre_class.ambient != ProductSpace((n_total,)):
         raise ValueError("the Segre class must live on the same projective space")
+    terms = {} if segre_class is None else segre_class.terms
     coeffs = []
     for i in indices:
         value = d ** i - sum(comb(i, j) * d ** (i - j) * terms.get((j,), 0) for j in range(i + 1))

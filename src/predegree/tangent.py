@@ -49,6 +49,20 @@ POLARIZATION_POINTS: tuple[Vector, ...] = tuple(
 MATRIX_SPACE_DIM = 16
 
 
+def _multilinear_tangent(f, *args: Vector) -> LinearSubspace:
+    """Tangent space at f(*args) to the image of a multilinear map f.
+
+    Spanned by f with one argument replaced by a coordinate unit vector, over
+    every argument slot and every coordinate of that slot.
+    """
+    directions = []
+    for slot, arg in enumerate(args):
+        for c in range(len(arg)):
+            unit = tuple(Fraction(int(j == c)) for j in range(len(arg)))
+            directions.append(f(*args[:slot], unit, *args[slot + 1 :]))
+    return LinearSubspace.span(directions)
+
+
 def gradient_span(phi: ProjMatrix, gram: QuadricGram = SEGRE_QUADRIC) -> LinearSubspace:
     """Span of the point-condition gradients at phi over all points of P^3.
 
@@ -73,13 +87,9 @@ def tangent_ruling_component(which: int, p: Sequence, xi: Sequence[Sequence]) ->
         raise ValueError("the ruling component index is 1 or 2")
     pv, xim = _validated_ruling_input(p, xi)
     interleave = which == 2
-    directions = []
-    for j in range(8):
-        unit = tuple(Fraction(int(c == j)) for c in range(8))
-        directions.append(flatten(_segre_rows(pv, (unit[:4], unit[4:]), interleave)))
-    for unit in ((1, 0), (0, 1)):
-        directions.append(flatten(_segre_rows(vec(unit), xim, interleave)))
-    return LinearSubspace.span(directions, MATRIX_SPACE_DIM)
+    return _multilinear_tangent(
+        lambda s, t: flatten(_segre_rows(s, (t[:4], t[4:]), interleave)), pv, flatten(xim)
+    )
 
 
 def quadric_point(p: Sequence, q: Sequence) -> Vector:
@@ -119,15 +129,7 @@ def tangent_intersection_locus(p: Sequence, q: Sequence, k: Sequence) -> LinearS
         raise ValueError("expected two points of P^1 and one point of P^3")
     if is_zero_vector(pv) or is_zero_vector(qv) or is_zero_vector(kv):
         raise ValueError("projective coordinates cannot all vanish")
-    directions = []
-    for unit in ((1, 0), (0, 1)):
-        directions.append(flatten(outer(quadric_point(unit, qv), kv)))
-        directions.append(flatten(outer(quadric_point(pv, unit), kv)))
-    for c in range(4):
-        unit = [Fraction(0)] * 4
-        unit[c] = Fraction(1)
-        directions.append(flatten(outer(quadric_point(pv, qv), unit)))
-    return LinearSubspace.span(directions, MATRIX_SPACE_DIM)
+    return _multilinear_tangent(lambda a, b, c: flatten(outer(quadric_point(a, b), c)), pv, qv, kv)
 
 
 def verify_tangent_intersection(p: Sequence, q: Sequence, k: Sequence) -> bool:
@@ -183,12 +185,7 @@ _RANK_TWO_GENERATORS = [
 
 
 def rank_two_expected_span() -> LinearSubspace:
-    vectors = []
-    for gen in _RANK_TWO_GENERATORS:
-        v = [Fraction(0)] * MATRIX_SPACE_DIM
-        for idx, c in gen.items():
-            v[idx] = Fraction(c)
-        vectors.append(tuple(v))
+    vectors = [[gen.get(i, 0) for i in range(MATRIX_SPACE_DIM)] for gen in _RANK_TWO_GENERATORS]
     return LinearSubspace.span(vectors, MATRIX_SPACE_DIM)
 
 
@@ -242,6 +239,16 @@ class TangentReport:
         }
 
 
+def _random_check(name: str, check, rng: random.Random, samples: int) -> CheckResult:
+    """Run check on seeded random points (p, q, k) of P^1 x P^1 x P^3, recording failing indices."""
+    failures = []
+    for index in range(samples):
+        p, q, k = (random_projective_point(rng, length) for length in (2, 2, 4))
+        if not check(p, q, k):
+            failures.append(index)
+    return CheckResult(name, not failures, {"samples": samples, "failures": failures})
+
+
 def run_tangent_checks(seed: int = 0, samples: int = 20) -> TangentReport:
     """Run the full battery of tangent-space checks.
 
@@ -265,22 +272,7 @@ def run_tangent_checks(seed: int = 0, samples: int = 20) -> TangentReport:
         )
     )
 
-    failures = []
-    for index in range(samples):
-        point = (
-            random_projective_point(rng, 2),
-            random_projective_point(rng, 2),
-            random_projective_point(rng, 4),
-        )
-        if not verify_gradient_rank(*point):
-            failures.append(index)
-    checks.append(
-        CheckResult(
-            "gradient-rank-random",
-            not failures,
-            {"samples": samples, "failures": failures},
-        )
-    )
+    checks.append(_random_check("gradient-rank-random", verify_gradient_rank, rng, samples))
 
     normal_span = gradient_span(sigma_normal_form())
     checks.append(
@@ -299,21 +291,6 @@ def run_tangent_checks(seed: int = 0, samples: int = 20) -> TangentReport:
         )
     )
 
-    failures = []
-    for index in range(samples):
-        point = (
-            random_projective_point(rng, 2),
-            random_projective_point(rng, 2),
-            random_projective_point(rng, 4),
-        )
-        if not verify_tangent_intersection(*point):
-            failures.append(index)
-    checks.append(
-        CheckResult(
-            "tangent-intersection-random",
-            not failures,
-            {"samples": samples, "failures": failures},
-        )
-    )
+    checks.append(_random_check("tangent-intersection-random", verify_tangent_intersection, rng, samples))
 
     return TangentReport(seed, samples, checks)

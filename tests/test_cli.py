@@ -1,11 +1,14 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from predegree import cli, polynomial
 from predegree.polynomial import IntegralityError
 from predegree.tangent import CheckResult, TangentReport
+
+GOLDEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "cli_golden.json"
 
 
 def run_cli(capsys, *argv):
@@ -187,3 +190,32 @@ def test_deg_so_integrality_failure_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "deg-so", "--m", "4")
     assert code == 3
     assert "integrality" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["segre-class", "--factors", "15,16"],
+        ["segre-class", "--factors", "1,1,1,1,1,1,1,1,1"],
+        ["coeff", "--i", "3", "--segre-factors", "16,15"],
+    ],
+)
+def test_segre_factor_box_is_bounded(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and "exceeds the limit of 256" in err
+
+
+def test_segre_factor_box_limit_is_inclusive(capsys):
+    code, out, _ = run_cli(capsys, "coeff", "--i", "0", "--segre-factors", "15,15")
+    assert code == 0 and out == "1\n"
+
+
+def test_golden_outputs(capsys):
+    """Every pinned command prints exactly its recorded bytes."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert golden, "the golden file must pin at least one command"
+    for command, expected in golden.items():
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0, command
+        assert out == expected, command

@@ -77,6 +77,15 @@ def test_coefficient_ambient_mismatch():
         predegree_coefficient(15, 2, cls, 3)
 
 
+@pytest.mark.parametrize("space", [ProductSpace((8,)), ProductSpace((1, 7))])
+def test_zero_class_on_wrong_space_is_rejected(space):
+    zero = ChowClass.zero(space)
+    with pytest.raises(ValueError, match="same projective space"):
+        predegree_coefficient(15, 2, zero, 3)
+    with pytest.raises(ValueError, match="same projective space"):
+        predegree_from_segre(15, 2, zero, 9)
+
+
 def test_coefficient_integrality_failure_signals_bad_class():
     bad = Fraction(1, 3) * H(2)
     with pytest.raises(IntegralityError):
