@@ -3,8 +3,10 @@
 For factor dimensions (n_1, ..., n_r) the ring is the truncated polynomial
 ring Q[h_1, ..., h_r] / (h_1^{n_1+1}, ..., h_r^{n_r+1}), where h_i is the
 hyperplane class pulled back from the i-th factor.  Classes are stored
-sparsely as exponent tuple -> rational coefficient.  A class may mix
-codimensions; the codimension of a term is the total exponent.
+sparsely as exponent tuple -> coefficient.  An ``int`` coefficient stays an
+``int`` and a ``Fraction`` stays a ``Fraction`` (anything else goes through
+``Fraction``), so integer classes stay integer through sums and products.  A
+class may mix codimensions; the codimension of a term is the total exponent.
 
 Values are immutable once built and every operation returns a new class, so
 everything here is safe to share between threads.
@@ -17,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,9 @@ class ProductSpace:
         return self.factor_dims
 
 
-def _normalize(ambient: ProductSpace, items: Iterable[tuple[Exponents, Fraction]]) -> dict:
+def _normalize(ambient: ProductSpace, items: Iterable[tuple[Exponents, Coefficient]]) -> dict:
     dims = ambient.factor_dims
-    terms: dict[Exponents, Fraction] = {}
+    terms: dict[Exponents, Coefficient] = {}
     for exps, coeff in items:
         if type(exps) is not tuple or any(type(e) is not int for e in exps):
             exps = tuple(int(e) for e in exps)
@@ -60,9 +63,9 @@ def _normalize(ambient: ProductSpace, items: Iterable[tuple[Exponents, Fraction]
         if any(e > n for e, n in zip(exps, dims)):
             # h_i^{n_i+1} = 0, so the monomial vanishes in the quotient.
             continue
-        if type(coeff) is not Fraction:
+        if not isinstance(coeff, (int, Fraction)):
             coeff = Fraction(coeff)
-        total = terms.get(exps, Fraction(0)) + coeff
+        total = terms.get(exps, 0) + coeff
         if total:
             terms[exps] = total
         elif exps in terms:
@@ -75,7 +78,10 @@ class ChowClass:
     """Element of the Chow ring of a product of projective spaces."""
 
     ambient: ProductSpace
-    terms: Mapping[Exponents, Fraction] = field(default_factory=dict)
+    terms: Mapping[Exponents, Coefficient] = field(default_factory=dict)
+
+    # The terms are a dict, so a class has no hash.
+    __hash__ = None
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _normalize(self.ambient, dict(self.terms).items()))
@@ -88,7 +94,7 @@ class ChowClass:
 
     @classmethod
     def one(cls, ambient: ProductSpace) -> "ChowClass":
-        return cls(ambient, {(0,) * ambient.num_factors: Fraction(1)})
+        return cls(ambient, {(0,) * ambient.num_factors: 1})
 
     @classmethod
     def hyperplane(cls, ambient: ProductSpace, index: int = 0) -> "ChowClass":
@@ -96,11 +102,11 @@ class ChowClass:
         if not 0 <= index < ambient.num_factors:
             raise ValueError("factor index out of range")
         exps = tuple(1 if i == index else 0 for i in range(ambient.num_factors))
-        return cls(ambient, {exps: Fraction(1)})
+        return cls(ambient, {exps: 1})
 
     @classmethod
     def monomial(cls, ambient: ProductSpace, exps: Iterable[int], coeff=1) -> "ChowClass":
-        return cls(ambient, {tuple(exps): Fraction(coeff)})
+        return cls(ambient, {tuple(exps): coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -108,10 +114,10 @@ class ChowClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Iterable[int]) -> Coefficient:
+        return self.terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Coefficient:
         return self.coefficient((0,) * self.ambient.num_factors)
 
     def codimensions(self) -> list[int]:
@@ -126,8 +132,7 @@ class ChowClass:
                 raise ValueError("classes live in different ambient spaces")
             return other
         if isinstance(other, (int, Fraction)):
-            zero_exps = (0,) * self.ambient.num_factors
-            return ChowClass(self.ambient, {zero_exps: Fraction(other)})
+            return ChowClass(self.ambient, {(0,) * self.ambient.num_factors: other})
         return NotImplemented
 
     def __add__(self, other) -> "ChowClass":
@@ -136,7 +141,7 @@ class ChowClass:
             return NotImplemented
         merged = dict(self.terms)
         for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + coeff
+            merged[exps] = merged.get(exps, 0) + coeff
         return ChowClass(self.ambient, merged)
 
     __radd__ = __add__
@@ -158,13 +163,13 @@ class ChowClass:
         if other is NotImplemented:
             return NotImplemented
         dims = self.ambient.factor_dims
-        product: dict[Exponents, Fraction] = {}
+        product: dict[Exponents, Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 if any(e > n for e, n in zip(exps, dims)):
                     continue
-                product[exps] = product.get(exps, Fraction(0)) + c1 * c2
+                product[exps] = product.get(exps, 0) + c1 * c2
         return ChowClass(self.ambient, product)
 
     __rmul__ = __mul__
@@ -190,11 +195,10 @@ class ChowClass:
         """
         if self.constant_term() != 1:
             raise ValueError("only classes with constant term 1 are invertible here")
-        nilpotent = self - 1
-        result = ChowClass.one(self.ambient)
-        power = ChowClass.one(self.ambient)
+        step = 1 - self
+        result = power = ChowClass.one(self.ambient)
         for _ in range(self.ambient.total_dim):
-            power = power * (-nilpotent)
+            power = power * step
             if power.is_zero:
                 break
             result = result + power
@@ -208,7 +212,7 @@ class ChowClass:
             raise ValueError("codimension out of range for the ambient space")
         return ChowClass(self.ambient, {e: c for e, c in self.terms.items() if sum(e) == j})
 
-    def integrate(self) -> Fraction:
+    def integrate(self) -> Coefficient:
         """Degree of the zero-dimensional piece: coefficient of the point class."""
         return self.coefficient(self.ambient.top_exponents)
 
@@ -224,11 +228,8 @@ class ChowClass:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        names = (
-            ["H"]
-            if self.ambient.num_factors == 1
-            else [f"h{i + 1}" for i in range(self.ambient.num_factors)]
-        )
+        r = self.ambient.num_factors
+        names = ["H"] if r == 1 else [f"h{i + 1}" for i in range(r)]
         pieces = []
         for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
             coeff = self.terms[exps]

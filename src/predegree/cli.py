@@ -30,9 +30,12 @@ EXIT_INTEGRALITY = 3
 
 _INT64_MAX = 2**63 - 1
 
-# The Segre pushforward costs the square of the exponent box prod(n_i + 1) in
-# term pairs, so the CLI refuses boxes beyond this size (15,15 is at the limit).
+# The Segre class costs box * sum(n_i + 1) integer additions over the exponent
+# box prod(n_i + 1); the CLI refuses boxes beyond this size (15,15 is at the limit).
 MAX_SEGRE_BOX = 256
+# deg SO(m) is an exact floor(m/2)-square determinant: m = 100 takes about 2 s
+# and the cost grows steeply past it, so the CLI refuses larger group sizes.
+MAX_GROUP_M = 100
 
 
 def json_int(value: int):
@@ -70,6 +73,8 @@ def _segre_space(factors: list[int]) -> ProductSpace:
 
 
 def cmd_predegree(args) -> int:
+    if args.n + 1 > MAX_GROUP_M:
+        raise ValueError(f"--n {args.n} needs deg PO({args.n + 1}), past the group size limit of {MAX_GROUP_M}")
     row = table1_row(args.n)
     coeffs = [None if c is None else json_int(c) for c in row.coeffs]
     payload = {
@@ -99,6 +104,8 @@ def cmd_segre_class(args) -> int:
 
 
 def cmd_group_degree(args, name: str) -> int:
+    if args.m > MAX_GROUP_M:
+        raise ValueError(f"the group size m = {args.m} exceeds the limit of {MAX_GROUP_M}")
     value = deg_so(args.m) if name == "deg-so" else deg_po(args.m)
     payload = {
         "command": name,
@@ -198,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predegree", help="predegree polynomial of a smooth quadric")
     p.add_argument("target", choices=["quadric"])
-    p.add_argument("--n", type=int, required=True, help="dimension of the ambient P^n")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"dimension of the ambient P^n, at most {MAX_GROUP_M - 1}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_predegree)
 
@@ -210,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("deg-so", "deg-po"):
         p = sub.add_parser(name, help=f"degree of the closure of {name.split('-')[1].upper()}(m)")
-        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--m", type=int, required=True, help=f"group size, at most {MAX_GROUP_M}")
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=lambda args, name=name: cmd_group_degree(args, name))
 

@@ -180,6 +180,8 @@ class LinearSubspace:
         return rank(self.basis + (v,)) == self.dim()
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("subspaces live in different ambient spaces")
         return all(self.contains(b) for b in other.basis)
 
     def intersect(self, other: "LinearSubspace") -> "LinearSubspace":

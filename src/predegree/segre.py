@@ -2,10 +2,8 @@
 
 Covers the pushforward of monomial classes along a Segre embedding, the
 inverse Chern class of the normal bundle to the embedded product, and the
-resulting pushed-forward Segre class of the image.  The inverse Chern class
-is the product of two classes written down coefficient by coefficient,
-prod C(n_i + 1, e_i) and (-1)^|e| C(m + |e|, |e|) multinomial(e), so it
-needs neither powers nor an inverse in the Chow ring.
+resulting pushed-forward Segre class of the image, all in integer series
+that need no product, power or inverse in the Chow ring.
 """
 
 from __future__ import annotations
@@ -47,36 +45,37 @@ def pushforward_monomial(space: ProductSpace, exps: tuple[int, ...]) -> tuple[in
 
 def pushforward_class(cls: ChowClass) -> ChowClass:
     """Term-by-term pushforward of a class on a product to the Segre target."""
-    space = cls.ambient
-    target = ProductSpace((ambient_dim(space),))
-    terms: dict[tuple[int, ...], object] = {}
+    pushed = [0] * (ambient_dim(cls.ambient) + 1)
     for exps, coeff in cls.terms.items():
-        c, power = pushforward_monomial(space, exps)
-        key = (power,)
-        terms[key] = terms.get(key, 0) + c * coeff
-    return ChowClass(target, terms)
+        c, power = pushforward_monomial(cls.ambient, exps)
+        pushed[power] += c * coeff
+    return ChowClass(ProductSpace((len(pushed) - 1,)), {(j,): value for j, value in enumerate(pushed)})
 
 
 def normal_inverse_chern(space: ProductSpace) -> ChowClass:
     """Inverse Chern class of the normal bundle to the Segre-embedded product.
 
-    Equals prod (1 + h_i)^{n_i + 1} / (1 + sum h_i)^{m + 1} where m is the
-    dimension of the target projective space.  Both factors are binomial
-    series over the exponent box e_i <= n_i: the numerator has coefficients
-    prod C(n_i + 1, e_i) and the inverse of the denominator has coefficients
-    (-1)^|e| C(m + |e|, |e|) multinomial(e).
+    Equals prod (1 + h_i)^{n_i + 1} / (1 + sum h_i)^{m + 1}, m the dimension of
+    the target.  The inverse denominator is the integer series
+    (-1)^|e| C(m + |e|, |e|) multinomial(e) over the box e_i <= n_i; each
+    numerator factor is then a convolution along axis i, n_i + 1 passes of
+    multiplication by 1 + h_i: box * sum(n_i + 1) integer additions in all.
     """
     if space.num_factors < 2:
         raise ValueError("a Segre embedding needs at least two factors")
     m = ambient_dim(space)
     box = list(product(*(range(n + 1) for n in space.factor_dims)))
-    numerator = ChowClass(
-        space, {e: prod(comb(n + 1, e_i) for e_i, n in zip(e, space.factor_dims)) for e in box}
-    )
-    denominator_inverse = ChowClass(
-        space, {e: (-1) ** sum(e) * comb(m + sum(e), sum(e)) * multinomial(e) for e in box}
-    )
-    return numerator * denominator_inverse
+    series = [(-1) ** sum(e) * comb(m + sum(e), sum(e)) * multinomial(e) for e in box]
+    # In lexicographic order e - u_i sits stride_i entries before e, so adding
+    # it from the back of the box multiplies by 1 + h_i in place.
+    stride = len(box)
+    for axis, n in enumerate(space.factor_dims):
+        stride //= n + 1
+        raised = [at for at in reversed(range(len(box))) if box[at][axis]]
+        for _ in range(n + 1):
+            for at in raised:
+                series[at] += series[at - stride]
+    return ChowClass(space, dict(zip(box, series)))
 
 
 def segre_class_pushforward(space: ProductSpace) -> ChowClass:

@@ -1,3 +1,4 @@
+from collections.abc import Hashable
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,20 @@ def test_to_records_round_trip():
     ]
     rebuilt = ChowClass(P15, {tuple(r["exponents"]): Fraction(r["coeff"]) for r in records})
     assert rebuilt == cls
+
+
+def test_classes_are_explicitly_unhashable():
+    assert not isinstance(H(), Hashable)
+    with pytest.raises(TypeError):
+        hash(H())
+
+
+def test_int_and_fraction_coefficients_keep_their_type():
+    integral = 2 * (1 + H()) * H(3) - H(2)
+    assert integral.terms and all(type(c) is int for c in integral.terms.values())
+    rational = Fraction(1, 2) * integral
+    assert all(type(c) is Fraction for c in rational.terms.values())
+    assert type(ChowClass.monomial(P15, (2,), "3/4").coefficient((2,))) is Fraction
 
 
 def test_str_rendering():

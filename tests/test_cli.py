@@ -211,6 +211,30 @@ def test_segre_factor_box_limit_is_inclusive(capsys):
     assert code == 0 and out == "1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["deg-so", "--m", "101"], ["deg-po", "--m", "101"], ["predegree", "quadric", "--n", "100", "--json"]],
+)
+def test_group_size_is_bounded(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and "limit of 100" in err
+
+
+def test_group_size_limit_is_inclusive(capsys, monkeypatch):
+    # deg_so(100) takes seconds; the stub records that the CLI asked for it.
+    requested = []
+    stub = lambda m: requested.append(m) or 7  # noqa: E731
+    monkeypatch.setattr(cli, "deg_so", stub)
+    monkeypatch.setattr(polynomial, "deg_so", stub)
+    for name in ("deg-so", "deg-po"):
+        code, out, _ = run_cli(capsys, name, "--m", "100")
+        assert code == 0 and out == "7\n"
+    code, out, _ = run_cli(capsys, "predegree", "quadric", "--n", "99")
+    assert code == 0 and out.endswith(" + *t^5048 + 7t^5049\n")
+    assert requested == [100, 100, 100]
+
+
 def test_golden_outputs(capsys):
     """Every pinned command prints exactly its recorded bytes."""
     golden = json.loads(GOLDEN_PATH.read_text())

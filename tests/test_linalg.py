@@ -96,6 +96,14 @@ def test_subspace_validation():
     assert LinearSubspace.span([], ambient_dim=4).dim() == 0
 
 
+def test_contains_subspace_needs_the_same_ambient():
+    line = LinearSubspace.span([[1, 0, 0]])
+    for other in (LinearSubspace.span([], 5), LinearSubspace.span([[1, 0, 0, 0, 0]])):
+        with pytest.raises(ValueError):
+            line.contains_subspace(other)
+    assert line.contains_subspace(LinearSubspace.span([], 3))
+
+
 # -- the integer kernel against sympy and the removed Fraction routines ------
 
 

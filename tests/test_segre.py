@@ -1,10 +1,11 @@
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predegree.chow import ChowClass, ProductSpace
+from predegree.polynomial import tensor_class
 from predegree.segre import (
     ambient_dim,
     multinomial,
@@ -157,3 +158,38 @@ def normal_inverse_reference(space):
 def test_normal_inverse_chern_matches_generic_inversion(dims):
     space = ProductSpace(dims)
     assert normal_inverse_chern(space) == normal_inverse_reference(space)
+
+
+@st.composite
+def segre_factors(draw, max_box=64):
+    """Two to four factor dimensions with exponent box prod(n_i + 1) <= max_box."""
+    dims, box = [], 1
+    for _ in range(draw(st.integers(2, 4))):
+        n = draw(st.integers(0, max_box // box - 1))
+        dims.append(n)
+        box *= n + 1
+    return tuple(draw(st.permutations(dims)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(segre_factors())
+def test_segre_class_matches_generic_inversion(dims):
+    space = ProductSpace(dims)
+    assert prod(n + 1 for n in dims) <= 64
+    reference = normal_inverse_reference(space)
+    assert normal_inverse_chern(space) == reference
+    assert segre_class_pushforward(space) == pushforward_class(reference)
+
+
+def test_integer_inputs_keep_int_coefficients():
+    segre_class = segre_class_pushforward(P1x7)
+    h = ChowClass.hyperplane(segre_class.ambient)
+    classes = [
+        normal_inverse_chern(ProductSpace((2, 1, 3))),
+        segre_class,
+        2 * segre_class,
+        tensor_class(segre_class, -2),
+        segre_class * (1 - 2 * h),
+    ]
+    for cls in classes:
+        assert cls.terms and all(type(c) is int for c in cls.terms.values())
