@@ -3,10 +3,12 @@
 For factor dimensions (n_1, ..., n_r) the ring is the truncated polynomial
 ring Q[h_1, ..., h_r] / (h_1^{n_1+1}, ..., h_r^{n_r+1}), where h_i is the
 hyperplane class pulled back from the i-th factor.  Classes are stored
-sparsely as exponent tuple -> coefficient.  An ``int`` coefficient stays an
-``int`` and a ``Fraction`` stays a ``Fraction`` (anything else goes through
-``Fraction``), so integer classes stay integer through sums and products.  A
-class may mix codimensions; the codimension of a term is the total exponent.
+sparsely as exponent tuple -> coefficient.  Each exponent tuple is coerced to
+ints and checked once with C-level builtins: a wrong length, then a negative
+exponent, raises ValueError, and a term past the truncation is dropped.  An
+``int`` coefficient stays an ``int`` and a ``Fraction`` stays a ``Fraction``
+(anything else goes through ``Fraction``), so integer classes stay integer.
+A class may mix codimensions; the codimension of a term is the total exponent.
 
 Values are immutable once built and every operation returns a new class, so
 everything here is safe to share between threads.
@@ -14,6 +16,7 @@ everything here is safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -54,13 +57,12 @@ def _normalize(ambient: ProductSpace, items: Iterable[tuple[Exponents, Coefficie
     dims = ambient.factor_dims
     terms: dict[Exponents, Coefficient] = {}
     for exps, coeff in items:
-        if type(exps) is not tuple or any(type(e) is not int for e in exps):
-            exps = tuple(int(e) for e in exps)
+        exps = tuple(map(int, exps))
         if len(exps) != len(dims):
             raise ValueError("exponent tuple does not match the number of factors")
-        if any(e < 0 for e in exps):
+        if min(exps) < 0:
             raise ValueError("negative exponent")
-        if any(e > n for e, n in zip(exps, dims)):
+        if any(map(operator.gt, exps, dims)):
             # h_i^{n_i+1} = 0, so the monomial vanishes in the quotient.
             continue
         if not isinstance(coeff, (int, Fraction)):
@@ -84,7 +86,7 @@ class ChowClass:
     __hash__ = None
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _normalize(self.ambient, dict(self.terms).items()))
+        object.__setattr__(self, "terms", _normalize(self.ambient, self.terms.items()))
 
     # -- constructors ------------------------------------------------------
 

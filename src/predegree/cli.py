@@ -30,12 +30,14 @@ EXIT_INTEGRALITY = 3
 
 _INT64_MAX = 2**63 - 1
 
-# The Segre class costs box * sum(n_i + 1) integer additions over the exponent
+# The Segre class costs box * sum(n_i + 1) additions and box products over the exponent
 # box prod(n_i + 1); the CLI refuses boxes beyond this size (15,15 is at the limit).
 MAX_SEGRE_BOX = 256
 # deg SO(m) is an exact floor(m/2)-square determinant: m = 100 takes about 2 s
 # and the cost grows steeply past it, so the CLI refuses larger group sizes.
 MAX_GROUP_M = 100
+# A tangent-check sample costs about 20 ms, so 1000 samples take about 20 s.
+MAX_TANGENT_SAMPLES = 1000
 
 
 def json_int(value: int):
@@ -72,21 +74,20 @@ def _segre_space(factors: list[int]) -> ProductSpace:
     return space
 
 
+def _row_result(row) -> dict:
+    return {
+        "quadric_space_dim": row.quadric_space_dim,
+        "max_base_component_dim": row.max_base_component_dim,
+        "coefficients": [None if c is None else json_int(c) for c in row.coeffs],
+        "polynomial": row.polynomial_string(),
+    }
+
+
 def cmd_predegree(args) -> int:
     if args.n + 1 > MAX_GROUP_M:
         raise ValueError(f"--n {args.n} needs deg PO({args.n + 1}), past the group size limit of {MAX_GROUP_M}")
     row = table1_row(args.n)
-    coeffs = [None if c is None else json_int(c) for c in row.coeffs]
-    payload = {
-        "command": "predegree",
-        "inputs": {"target": "quadric", "n": args.n},
-        "result": {
-            "quadric_space_dim": row.quadric_space_dim,
-            "max_base_component_dim": row.max_base_component_dim,
-            "coefficients": coeffs,
-            "polynomial": row.polynomial_string(),
-        },
-    }
+    payload = {"command": "predegree", "inputs": {"target": "quadric", "n": args.n}, "result": _row_result(row)}
     emit(args, payload, row.polynomial_string())
     return EXIT_OK
 
@@ -118,41 +119,24 @@ def cmd_group_degree(args, name: str) -> int:
 
 def cmd_table(args) -> int:
     if args.which == 1:
-        rows = [table1_row(n) for n in range(1, 5)]
-        payload = {
-            "command": "table",
-            "inputs": {"which": 1},
-            "result": {
-                "rows": [
-                    {
-                        "n": r.n,
-                        "quadric_space_dim": r.quadric_space_dim,
-                        "max_base_component_dim": r.max_base_component_dim,
-                        "coefficients": [None if c is None else json_int(c) for c in r.coeffs],
-                        "polynomial": r.polynomial_string(),
-                    }
-                    for r in rows
-                ]
-            },
-        }
-        lines = [
+        table = [table1_row(n) for n in range(1, 5)]
+        rows = [{"n": r.n, **_row_result(r)} for r in table]
+        text = "\n".join(
             f"n={r.n}  dim quadric space={r.quadric_space_dim}  "
             f"max base component dim={r.max_base_component_dim}  {r.polynomial_string()}"
-            for r in rows
-        ]
-        emit(args, payload, "\n".join(lines))
+            for r in table
+        )
     else:
-        rows = table2()
-        payload = {
-            "command": "table",
-            "inputs": {"which": 2},
-            "result": {"rows": [{"dim_l": d, "count": json_int(c)} for d, c in rows]},
-        }
-        emit(args, payload, "\n".join(f"dim L = {d}: {c}" for d, c in rows))
+        table = table2()
+        rows = [{"dim_l": d, "count": json_int(c)} for d, c in table]
+        text = "\n".join(f"dim L = {d}: {c}" for d, c in table)
+    emit(args, {"command": "table", "inputs": {"which": args.which}, "result": {"rows": rows}}, text)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if args.samples > MAX_TANGENT_SAMPLES:
+        raise ValueError(f"--samples {args.samples} exceeds the limit of {MAX_TANGENT_SAMPLES}")
     report = run_tangent_checks(seed=args.seed, samples=args.samples)
     payload = {
         "command": "verify",
@@ -230,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exact tangent-space verification")
     p.add_argument("what", choices=["tangents"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=int, default=20, help=f"random samples, 1 to {MAX_TANGENT_SAMPLES}")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("member", help="membership of a matrix in the base locus")

@@ -11,7 +11,7 @@ counts used to assemble the quadric tables.
 
 On P^N everything is an integer binomial series, so nothing here inverts a
 class: the twist by O(t) sends s_j H^j to s_j sum_k C(j+k-1, k) (-t)^k H^{j+k},
-and a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j.
+and for d >= 1, a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j over the nonzero s_j.
 """
 
 from __future__ import annotations
@@ -115,14 +115,17 @@ def _coefficients(n_total: int, d: int, segre_class: ChowClass | None, indices) 
     """Multidegrees a_i at the given indices, read off the Segre class in closed form.
 
     The degree of H^{N-i} (1 - dH)^{-1} ([P^N] - S twisted by O(-d)) folds,
-    by the hockey-stick identity, into a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j.
+    by the hockey-stick identity, into a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j
+    over the nonzero terms s_j only.  Raises ValueError for a degree d < 1.
     """
+    if d < 1:
+        raise ValueError("the hypersurface degree d must be at least 1")
     if segre_class is not None and segre_class.ambient != ProductSpace((n_total,)):
         raise ValueError("the Segre class must live on the same projective space")
     terms = {} if segre_class is None else segre_class.terms
     coeffs = []
     for i in indices:
-        value = d ** i - sum(comb(i, j) * d ** (i - j) * terms.get((j,), 0) for j in range(i + 1))
+        value = d ** i - sum(comb(i, j) * d ** (i - j) * s_j for (j,), s_j in terms.items() if j <= i)
         if value.denominator != 1:
             raise IntegralityError(f"coefficient a_{i} evaluated to the non-integer {value}")
         coeffs.append(int(value))
@@ -134,7 +137,7 @@ def predegree_coefficient(ambient_total_dim: int, d: int, segre_class: ChowClass
     of the base locus up to codimension i.
 
     Evaluates the degree of H^{N-i} (1 - dH)^{-1} ([P^N] - S twisted by O(-d))
-    and insists on an integer result.
+    for d >= 1 and insists on an integer result.
     """
     if not 0 <= i <= ambient_total_dim:
         raise ValueError("coefficient index out of range")

@@ -1,4 +1,5 @@
 from collections.abc import Hashable
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,35 @@ def test_int_and_fraction_coefficients_keep_their_type():
     rational = Fraction(1, 2) * integral
     assert all(type(c) is Fraction for c in rational.terms.values())
     assert type(ChowClass.monomial(P15, (2,), "3/4").coefficient((2,))) is Fraction
+
+
+class Exponent(IntEnum):
+    TWO = 2
+
+
+def test_int_like_exponents_are_coerced():
+    assert ChowClass(P15, {(True,): 1}) == ChowClass(P15, {(1,): 1})
+    cls = ChowClass(P1x7, {(True, Exponent.TWO): 3})
+    assert dict(cls.terms) == {(1, 2): 3}
+    assert all(type(e) is int for e in next(iter(cls.terms)))
+
+
+def test_negative_exponent_raises_before_truncation():
+    # 9 > 7 alone would drop the term; the negative exponent must still raise.
+    with pytest.raises(ValueError, match="negative exponent"):
+        ChowClass(P1x7, {(-1, 9): 1})
+
+
+def test_wrong_length_raises_even_with_zero_coefficient():
+    with pytest.raises(ValueError, match="number of factors"):
+        ChowClass(P15, {(1, 1): 0})
+    with pytest.raises(ValueError, match="number of factors"):
+        ChowClass(P1x7, {(0, 1, 2): 0})
+
+
+def test_terms_past_truncation_are_dropped():
+    cls = ChowClass(P1x7, {(2, 0): 3, (0, 8): -1, (1, 7): 5})
+    assert dict(cls.terms) == {(1, 7): 5}
 
 
 def test_str_rendering():

@@ -235,6 +235,38 @@ def test_group_size_limit_is_inclusive(capsys, monkeypatch):
     assert requested == [100, 100, 100]
 
 
+@pytest.mark.parametrize("samples", ["1001", "100000"])
+def test_tangent_samples_are_bounded(capsys, monkeypatch, samples):
+    requested = []
+    monkeypatch.setattr(cli, "run_tangent_checks", lambda seed, samples: requested.append(samples))
+    code, out, err = run_cli(capsys, "verify", "tangents", "--samples", samples)
+    assert code == 2
+    assert out == "" and "limit of 1000" in err
+    assert requested == []
+
+
+def test_tangent_samples_limit_is_inclusive(capsys, monkeypatch):
+    # 1000 real samples take about 20 s; the stub records what the CLI asked for.
+    requested = []
+
+    def stub(seed, samples):
+        requested.append(samples)
+        return TangentReport(seed, samples, [CheckResult("stub", True, {})])
+
+    monkeypatch.setattr(cli, "run_tangent_checks", stub)
+    for samples in ("200", "1000"):
+        code, out, _ = run_cli(capsys, "verify", "tangents", "--samples", samples)
+        assert code == 0 and json.loads(out)["result"]["all_passed"] is True
+    assert requested == [200, 1000]
+
+
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_coeff_degree_must_be_positive(capsys, d):
+    code, out, err = run_cli(capsys, "coeff", "--i", "3", "--d", d)
+    assert code == 2
+    assert out == "" and "degree d" in err
+
+
 def test_golden_outputs(capsys):
     """Every pinned command prints exactly its recorded bytes."""
     golden = json.loads(GOLDEN_PATH.read_text())

@@ -157,6 +157,23 @@ def test_predegree_from_segre_validation():
         predegree_from_segre(14, 2, None, 5)  # 14 is not n^2 + 2n
 
 
+@pytest.mark.parametrize("d", [0, -2])
+def test_coefficient_needs_positive_degree(d):
+    # a_i counts translates; d^i would read 0 or a negative "count" here
+    with pytest.raises(ValueError, match="degree d"):
+        predegree_coefficient(15, d, doubled_ruling_segre_class(), 3)
+    with pytest.raises(ValueError, match="degree d"):
+        predegree_coefficient(15, d, None, 3)
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_predegree_from_segre_needs_positive_degree(d):
+    with pytest.raises(ValueError, match="degree d"):
+        predegree_from_segre(15, d, doubled_ruling_segre_class(), 9)
+    with pytest.raises(ValueError, match="degree d"):
+        predegree_from_segre(15, d, None, 0)
+
+
 def test_polynomial_type_validation():
     with pytest.raises(ValueError):
         PredegreePolynomial(3, (1,) * 10)  # wrong length

@@ -1,7 +1,7 @@
 from math import comb, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predegree.chow import ChowClass, ProductSpace
@@ -102,6 +102,11 @@ def test_normal_inverse_chern_needs_two_factors():
         normal_inverse_chern(ProductSpace((5,)))
 
 
+def test_segre_class_pushforward_needs_two_factors():
+    with pytest.raises(ValueError, match="two factors"):
+        segre_class_pushforward(ProductSpace((5,)))
+
+
 def test_segre_class_pushforward_17():
     result = segre_class_pushforward(P1x7)
     assert {e[0]: int(c) for e, c in result.terms.items()} == SEGRE_17
@@ -161,10 +166,10 @@ def test_normal_inverse_chern_matches_generic_inversion(dims):
 
 
 @st.composite
-def segre_factors(draw, max_box=64):
-    """Two to four factor dimensions with exponent box prod(n_i + 1) <= max_box."""
+def segre_factors(draw, max_box=64, max_factors=4):
+    """Two to max_factors factor dimensions with exponent box prod(n_i + 1) <= max_box."""
     dims, box = [], 1
-    for _ in range(draw(st.integers(2, 4))):
+    for _ in range(draw(st.integers(2, max_factors))):
         n = draw(st.integers(0, max_box // box - 1))
         dims.append(n)
         box *= n + 1
@@ -179,6 +184,23 @@ def test_segre_class_matches_generic_inversion(dims):
     reference = normal_inverse_reference(space)
     assert normal_inverse_chern(space) == reference
     assert segre_class_pushforward(space) == pushforward_class(reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(segre_factors(max_box=256, max_factors=5))
+@example((0, 3))
+@example((0, 0))
+@example((1, 1, 1, 1, 1))
+@example((2, 0, 1, 2, 3))
+@example((15, 15))
+@example((1, 127))
+def test_fused_segre_class_matches_composed_path(dims):
+    # The whole range the CLI admits: prod(n_i + 1) <= cli.MAX_SEGRE_BOX.
+    space = ProductSpace(dims)
+    assert prod(n + 1 for n in dims) <= 256
+    fused = segre_class_pushforward(space)
+    assert fused == pushforward_class(normal_inverse_chern(space))
+    assert all(type(c) is int for c in fused.terms.values())
 
 
 def test_integer_inputs_keep_int_coefficients():
