@@ -36,7 +36,7 @@ MAX_SEGRE_BOX = 256
 # deg SO(m) is an exact floor(m/2)-square determinant: m = 100 takes about 2 s
 # and the cost grows steeply past it, so the CLI refuses larger group sizes.
 MAX_GROUP_M = 100
-# A tangent-check sample costs about 20 ms, so 1000 samples take about 20 s.
+# A tangent-check sample costs about 8 ms, so 1000 samples take about 8 s.
 MAX_TANGENT_SAMPLES = 1000
 
 

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of ``fractions.Fraction`` and matrices are tuples of such
-row vectors.  One fraction-free integer elimination does every reduction:
-each row is cleared of denominators once, and rref, rank, det, subspace
-membership and (Zassenhaus) intersection all read their answer off it.  There
-is no floating point and no tolerance anywhere in the package.
+Vectors are tuples of rationals and matrices are tuples of such row vectors.
+An ``int`` entry stays an ``int`` and anything else (``str``, ``Fraction``)
+is a ``Fraction``; ``coerce`` is the one place that applies this rule, so
+integer inputs stay integer from the caller to the answer.  One fraction-free
+integer elimination does every reduction: each row is coerced and cleared of
+denominators once, and rref, rank, det, subspace membership and (Zassenhaus)
+intersection all read their answer off it.  There is no floating point and no
+tolerance anywhere in the package.
 """
 
 from __future__ import annotations
@@ -14,12 +17,18 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-Vector = tuple[Fraction, ...]
+Rational = int | Fraction
+Vector = tuple[Rational, ...]
 Matrix = tuple[Vector, ...]
 
 
-def vec(entries: Iterable) -> Vector:
-    """Coerce an iterable of rationals (int, str or Fraction) to a vector."""
+def coerce(entries: Iterable) -> Vector:
+    """A vector of rationals: an int or Fraction entry is kept, anything else goes through Fraction."""
+    return tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in entries)
+
+
+def vec(entries: Iterable) -> tuple[Fraction, ...]:
+    """Coerce an iterable of rationals (int, str or Fraction) to a vector of Fractions."""
     return tuple(Fraction(x) for x in entries)
 
 
@@ -27,17 +36,17 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
     return tuple(vec(row) for row in rows)
 
 
-def is_zero_vector(v: Sequence[Fraction]) -> bool:
+def is_zero_vector(v: Sequence[Rational]) -> bool:
     return all(x == 0 for x in v)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
     if len(u) != len(v):
         raise ValueError("dot product of vectors of different lengths")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum(a * b for a, b in zip(u, v))
 
 
-def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
+def mat_vec(m: Matrix, v: Sequence[Rational]) -> Vector:
     return tuple(dot(row, v) for row in m)
 
 
@@ -50,7 +59,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def outer(u: Sequence[Fraction], v: Sequence[Fraction]) -> Matrix:
+def outer(u: Sequence[Rational], v: Sequence[Rational]) -> Matrix:
     return tuple(tuple(x * y for y in v) for x in u)
 
 
@@ -62,17 +71,17 @@ def flatten(m: Matrix) -> Vector:
 def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], int, int, int]:
     """Fraction-free Gauss-Jordan elimination over the integers (Bareiss).
 
-    Each row is multiplied once by the lcm of its denominators; ``scale`` is
-    the product of those multipliers.  Each pivot d (previous pivot prev) turns
-    every other row into (d*a - f*b) // prev, an exact division because every
-    entry is a minor of the cleared matrix.  Returns the pivot rows in order of
-    their pivot columns, every pivot equal to the last one d; d; the sign of
-    the row swaps; and scale.
+    Each row is coerced and multiplied once by the lcm of its denominators (1
+    for an int row); ``scale`` is the product of those multipliers.  Each pivot
+    d (previous pivot prev) turns every other row into (d*a - f*b) // prev, an
+    exact division because every entry is a minor of the cleared matrix.
+    Returns the pivot rows in order of their pivot columns, every pivot equal
+    to the last one d; d; the sign of the row swaps; and scale.
     """
     work = []
     scale = 1
     for row in rows:
-        entries = vec(row)
+        entries = coerce(row)
         multiplier = lcm(*(x.denominator for x in entries))
         work.append([x.numerator * (multiplier // x.denominator) for x in entries])
         scale *= multiplier
@@ -101,9 +110,9 @@ def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], int, int, int
 
 
 def rref(rows: Iterable[Sequence]) -> Matrix:
-    """Reduced row echelon form with zero rows dropped."""
+    """Reduced row echelon form with zero rows dropped; integral entries are ints."""
     pivot_rows, d, _, _ = _eliminate(rows)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in pivot_rows)
+    return tuple(tuple(x // d if x % d == 0 else Fraction(x, d) for x in row) for row in pivot_rows)
 
 
 def rank(rows: Iterable[Sequence]) -> int:
@@ -120,8 +129,8 @@ def nullspace(rows: Iterable[Sequence]) -> list[Vector]:
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = 1
         for row, p in zip(reduced, pivots):
             v[p] = -row[f]
         basis.append(tuple(v))
@@ -157,7 +166,7 @@ class LinearSubspace:
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence], ambient_dim: int | None = None) -> "LinearSubspace":
-        vs = [vec(v) for v in vectors]
+        vs = list(vectors)
         if ambient_dim is None:
             if not vs:
                 raise ValueError("ambient dimension required for an empty span")
@@ -174,7 +183,6 @@ class LinearSubspace:
         return self.dim() - 1
 
     def contains(self, v: Sequence) -> bool:
-        v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match the ambient dimension")
         return rank(self.basis + (v,)) == self.dim()
@@ -182,7 +190,7 @@ class LinearSubspace:
     def contains_subspace(self, other: "LinearSubspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambient spaces")
-        return all(self.contains(b) for b in other.basis)
+        return rank(self.basis + other.basis) == self.dim()
 
     def intersect(self, other: "LinearSubspace") -> "LinearSubspace":
         """Exact intersection of two spans (Zassenhaus).
@@ -194,6 +202,6 @@ class LinearSubspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambient spaces")
         n = self.ambient_dim
-        zero = (Fraction(0),) * n
+        zero = (0,) * n
         reduced = rref([u + u for u in self.basis] + [w + zero for w in other.basis])
         return LinearSubspace(n, tuple(row[n:] for row in reduced if is_zero_vector(row[:n])))

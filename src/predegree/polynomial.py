@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
-from .chow import ChowClass, ProductSpace
+from .chow import ChowClass
 from .linalg import det
 
 
@@ -120,7 +120,7 @@ def _coefficients(n_total: int, d: int, segre_class: ChowClass | None, indices) 
     """
     if d < 1:
         raise ValueError("the hypersurface degree d must be at least 1")
-    if segre_class is not None and segre_class.ambient != ProductSpace((n_total,)):
+    if segre_class is not None and segre_class.ambient.factor_dims != (n_total,):
         raise ValueError("the Segre class must live on the same projective space")
     terms = {} if segre_class is None else segre_class.terms
     coeffs = []

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import segre
 from .chow import ChowClass, ProductSpace
-from .linalg import Matrix, Vector, det, is_zero_vector, mat, mat_mul, mat_vec, rank, transpose, vec
+from .linalg import Matrix, Rational, Vector, coerce, det, dot, is_zero_vector, mat_mul, mat_vec, outer, rank, transpose
 from .polynomial import (
     PredegreePolynomial,
     deg_po,
@@ -44,7 +44,7 @@ class ProjMatrix:
     entries: Matrix
 
     def __post_init__(self):
-        rows = mat(self.entries)
+        rows = tuple(map(coerce, self.entries))
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("expected a 4x4 matrix")
         if all(is_zero_vector(r) for r in rows):
@@ -53,7 +53,7 @@ class ProjMatrix:
 
     @classmethod
     def from_flat(cls, values: Sequence) -> "ProjMatrix":
-        values = vec(values)
+        values = coerce(values)
         if len(values) != 16:
             raise ValueError("expected 16 entries in row-major order")
         return cls(tuple(values[4 * i : 4 * i + 4] for i in range(4)))
@@ -62,7 +62,7 @@ class ProjMatrix:
         return tuple(x for row in self.entries for x in row)
 
     def apply(self, point: Sequence) -> Vector:
-        return mat_vec(self.entries, vec(point))
+        return mat_vec(self.entries, coerce(point))
 
     def rank(self) -> int:
         return rank(self.entries)
@@ -73,8 +73,7 @@ class ProjMatrix:
         pivot = next(i for i, x in enumerate(u) if x != 0)
         if v[pivot] == 0:
             return False
-        scale = u[pivot] / v[pivot]
-        return all(a == scale * b for a, b in zip(u, v))
+        return all(a * v[pivot] == b * u[pivot] for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ class QuadricGram:
     entries: Matrix
 
     def __post_init__(self):
-        rows = mat(self.entries)
+        rows = tuple(map(coerce, self.entries))
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("expected a 4x4 matrix")
         if rows != transpose(rows):
@@ -93,13 +92,13 @@ class QuadricGram:
             raise ValueError("the quadric must be smooth (nonzero determinant)")
         object.__setattr__(self, "entries", rows)
 
-    def value(self, point: Sequence) -> Fraction:
-        v = vec(point)
-        return sum((a * b for a, b in zip(v, mat_vec(self.entries, v))), Fraction(0))
+    def value(self, point: Sequence) -> Rational:
+        v = coerce(point)
+        return dot(v, mat_vec(self.entries, v))
 
     def gradient(self, point: Sequence) -> Vector:
         """Gradient of the quadratic form: 2 M x."""
-        return tuple(2 * x for x in mat_vec(self.entries, vec(point)))
+        return tuple(2 * x for x in mat_vec(self.entries, coerce(point)))
 
 
 # Gram matrix of x0*x3 - x1*x2, the Segre quadric surface.
@@ -113,14 +112,14 @@ SEGRE_QUADRIC = QuadricGram(
 )
 
 
-def point_condition_value(phi: ProjMatrix, point: Sequence, gram: QuadricGram = SEGRE_QUADRIC) -> Fraction:
+def point_condition_value(phi: ProjMatrix, point: Sequence, gram: QuadricGram = SEGRE_QUADRIC) -> Rational:
     """Value at phi of the point condition attached to a point q.
 
     The point condition is the quadric of transformations psi with
     f(psi(q)) = 0; the returned representative is f(phi(q)), well defined up
     to squared rescalings of phi and q.
     """
-    q = vec(point)
+    q = coerce(point)
     if is_zero_vector(q):
         raise ValueError("the point of P^3 must be nonzero")
     return gram.value(phi.apply(q))
@@ -132,11 +131,10 @@ def point_condition_gradient(phi: ProjMatrix, point: Sequence, gram: QuadricGram
     Equals 2 (M phi q) q^T; pairing it entrywise with psi gives the
     directional derivative grad f(phi q) . (psi q).
     """
-    q = vec(point)
+    q = coerce(point)
     if is_zero_vector(q):
         raise ValueError("the point of P^3 must be nonzero")
-    weights = mat_vec(gram.entries, phi.apply(q))
-    return tuple(tuple(2 * a * b for b in q) for a in weights)
+    return outer(gram.gradient(phi.apply(q)), q)
 
 
 def _segre_rows(p: Vector, xi: Matrix, interleave: bool) -> Matrix:
@@ -158,8 +156,8 @@ def _segre_rows(p: Vector, xi: Matrix, interleave: bool) -> Matrix:
 
 
 def _validated_ruling_input(p: Sequence, xi: Sequence[Sequence]) -> tuple[Vector, Matrix]:
-    pv = vec(p)
-    xim = mat(xi)
+    pv = coerce(p)
+    xim = tuple(map(coerce, xi))
     if len(pv) != 2:
         raise ValueError("expected a point of P^1 (two coordinates)")
     if len(xim) != 2 or any(len(r) != 4 for r in xim):

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import LinearSubspace, Matrix, Vector, dot, flatten, is_zero_vector, outer, rank, vec
+from .linalg import LinearSubspace, Matrix, Vector, coerce, dot, flatten, is_zero_vector, outer, rank
 from .quadric import (
     SEGRE_QUADRIC,
     ProjMatrix,
@@ -29,21 +29,15 @@ from .quadric import (
     sigma1,
 )
 
+
+def _unit(length: int, index: int) -> Vector:
+    """The coordinate unit vector e_index, with int entries."""
+    return tuple(int(j == index) for j in range(length))
+
+
 # e_i and e_i + e_j: enough points to span every symmetric tensor q q^T.
-POLARIZATION_POINTS: tuple[Vector, ...] = tuple(
-    vec(row)
-    for row in [
-        (1, 0, 0, 0),
-        (0, 1, 0, 0),
-        (0, 0, 1, 0),
-        (0, 0, 0, 1),
-        (1, 1, 0, 0),
-        (1, 0, 1, 0),
-        (1, 0, 0, 1),
-        (0, 1, 1, 0),
-        (0, 1, 0, 1),
-        (0, 0, 1, 1),
-    ]
+POLARIZATION_POINTS: tuple[Vector, ...] = tuple(_unit(4, i) for i in range(4)) + tuple(
+    tuple(a + b for a, b in zip(_unit(4, i), _unit(4, j))) for i in range(4) for j in range(i + 1, 4)
 )
 
 MATRIX_SPACE_DIM = 16
@@ -58,8 +52,7 @@ def _multilinear_tangent(f, *args: Vector) -> LinearSubspace:
     directions = []
     for slot, arg in enumerate(args):
         for c in range(len(arg)):
-            unit = tuple(Fraction(int(j == c)) for j in range(len(arg)))
-            directions.append(f(*args[:slot], unit, *args[slot + 1 :]))
+            directions.append(f(*args[:slot], _unit(len(arg), c), *args[slot + 1 :]))
     return LinearSubspace.span(directions)
 
 
@@ -98,21 +91,21 @@ def quadric_point(p: Sequence, q: Sequence) -> Vector:
     Coordinate ordering (p0*q0 : p1*q0 : p0*q1 : p1*q1); the image satisfies
     x0*x3 - x1*x2 = 0.
     """
-    p0, p1 = vec(p)
-    q0, q1 = vec(q)
+    p0, p1 = coerce(p)
+    q0, q1 = coerce(q)
     return (p0 * q0, p1 * q0, p0 * q1, p1 * q1)
 
 
 def rank_one_matrix(p: Sequence, q: Sequence, k: Sequence) -> ProjMatrix:
     """Rank-one matrix with image the quadric point of (p, q) and kernel the
     plane annihilated by k."""
-    return ProjMatrix(outer(quadric_point(p, q), vec(k)))
+    return ProjMatrix(outer(quadric_point(p, q), coerce(k)))
 
 
 def pencil_matrix(a: Sequence, k: Sequence) -> Matrix:
     """The 2x4 matrix a k^T, the P^7 coordinate of a rank-one intersection point."""
-    a0, a1 = vec(a)
-    kv = vec(k)
+    a0, a1 = coerce(a)
+    kv = coerce(k)
     return (tuple(a0 * x for x in kv), tuple(a1 * x for x in kv))
 
 
@@ -124,7 +117,7 @@ def tangent_intersection_locus(p: Sequence, q: Sequence, k: Sequence) -> LinearS
     the lifts of all coordinate directions and has linear dimension 6 (a
     projective P^5).
     """
-    pv, qv, kv = vec(p), vec(q), vec(k)
+    pv, qv, kv = coerce(p), coerce(q), coerce(k)
     if len(pv) != 2 or len(qv) != 2 or len(kv) != 4:
         raise ValueError("expected two points of P^1 and one point of P^3")
     if is_zero_vector(pv) or is_zero_vector(qv) or is_zero_vector(kv):
@@ -192,15 +185,14 @@ def rank_two_expected_span() -> LinearSubspace:
 # -- seeded sampling -------------------------------------------------------
 
 
-def random_fraction(rng: random.Random, bound: int = 10) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
 def random_projective_point(rng: random.Random, length: int) -> Vector:
+    """Nonzero point with coordinates a/b, -10 <= a <= 10 and 1 <= b <= 10,
+    returned as ints: the point times the lcm of its reduced denominators."""
     while True:
-        candidate = tuple(random_fraction(rng) for _ in range(length))
-        if not is_zero_vector(candidate):
-            return candidate
+        draws = [(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(length)]
+        if any(a for a, _ in draws):
+            scale = lcm(*(b // gcd(a, b) for a, b in draws))
+            return tuple(a * scale // b for a, b in draws)
 
 
 def random_pencil(rng: random.Random, target_rank: int = 2) -> Matrix:

@@ -6,6 +6,8 @@ criterion.
 
 import random
 from fractions import Fraction
+from itertools import accumulate
+from math import factorial, prod
 
 from predegree import cli
 from predegree.chow import ChowClass, ProductSpace
@@ -79,6 +81,56 @@ def test_criterion_04_group_degrees():
     assert [deg_so(m) for m in (2, 3, 4, 5)] == [2, 8, 40, 384]
     assert all(deg_po(m) == deg_so(m) for m in (2, 3, 4, 5))
     report(4, "deg SO = 2, 8, 40, 384 for m = 2..5 and deg PO = deg SO")
+
+
+def positive_roots(m):
+    """Positive roots of SO(m): e_i and e_i +- e_j (type B, odd m), e_i +- e_j (type D, even m)."""
+    r = m // 2
+    unit = [[int(j == i) for j in range(r)] for i in range(r)]
+    roots = list(unit) if m % 2 else []
+    for i in range(r):
+        for j in range(i + 1, r):
+            roots.append([a - b for a, b in zip(unit[i], unit[j])])
+            roots.append([a + b for a, b in zip(unit[i], unit[j])])
+    return roots
+
+
+def kazarnovskii_deg_so(m):
+    """deg SO(m) as Kazarnovskii's polytope integral, independent of the determinant.
+
+    deg SO(m) = d! * integral of prod_alpha (<x, alpha> / <rho, alpha>)^2 over
+    x_1 >= ... >= x_r >= 0, sum x <= 1, with d = m(m-1)/2 and r = m // 2, doubled
+    for even m (the type D chamber has both signs of x_r).  In u_j = x_j - x_{j+1}
+    the region is u >= 0, sum j u_j <= 1, <x, alpha> has u_k-coefficient
+    alpha_1 + ... + alpha_k, and the integral of u^a is
+    prod a_j! / ((|a| + r)! prod j^(a_j + 1)).
+    """
+    r = m // 2
+    rho = [Fraction(2 * (r - i) - 1, 2) if m % 2 else r - 1 - i for i in range(r)]
+    poly = {(0,) * r: Fraction(1)}
+    for alpha in positive_roots(m):
+        weight = sum(a * b for a, b in zip(rho, alpha))
+        form = [Fraction(c) / weight for c in accumulate(alpha)]
+        for _ in range(2):
+            product = {}
+            for exps, c in poly.items():
+                for k, f in enumerate(form):
+                    if f:
+                        key = exps[:k] + (exps[k] + 1,) + exps[k + 1 :]
+                        product[key] = product.get(key, 0) + c * f
+            poly = product
+    integral = sum(
+        c * prod(map(factorial, exps))
+        / (factorial(sum(exps) + r) * prod(j ** (a + 1) for j, a in enumerate(exps, 1)))
+        for exps, c in poly.items()
+    )
+    return factorial(m * (m - 1) // 2) * integral * (1 if m % 2 else 2)
+
+
+def test_criterion_04_group_degrees_by_polytope_integral():
+    # a second derivation of deg SO(m), next to the determinant formula
+    assert [kazarnovskii_deg_so(m) for m in range(2, 10)] == [deg_so(m) for m in range(2, 10)]
+    report(4, "deg SO(m) for m = 2..9 equals Kazarnovskii's polytope integral")
 
 
 def test_criterion_05_table1_columns():

@@ -49,6 +49,26 @@ def test_rref_and_rank():
     assert rref([[0, 0], [0, 0]]) == ()
 
 
+def test_integral_rref_entries_are_ints():
+    reduced = rref([[2, 4, 6], [1, 3, 4]])
+    assert reduced == ((1, 0, 1), (0, 1, 1))
+    assert {type(x) for row in reduced for x in row} == {int}
+    assert [type(x) for x in rref([["1/2", 1]])[0]] == [int, int]
+    (row,) = rref([[3, 1]])
+    assert row == (1, Fraction(1, 3))
+    assert [type(x) for x in row] == [int, Fraction]
+    assert {type(x) for v in nullspace([[1, 2, 3]]) for x in v} == {int}
+
+
+def test_span_and_contains_accept_strings_and_fractions():
+    space = LinearSubspace.span([["1/2", 0, 1], [Fraction(1, 3), 1, "0"]])
+    assert space == LinearSubspace.span([[1, 0, 2], [1, 3, 0]])
+    assert space.contains(["1", "3/2", Fraction(1)])
+    assert not space.contains(["1", "3/2", "2"])
+    with pytest.raises(ValueError):
+        space.contains(["1", "3/2"])
+
+
 def test_nullspace_is_exact_kernel():
     rows = mat([[1, 2, 3], [0, 1, 1]])
     basis = nullspace(rows)

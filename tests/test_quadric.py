@@ -74,6 +74,15 @@ def test_proj_matrix_validation():
     assert not phi.proportional_to(IDENTITY)
 
 
+def test_proportional_to_is_exact_for_int_entries():
+    # a float scale 1/49 would give (1/49) * 49 == 0.9999999999999999
+    ones, scaled = ProjMatrix.from_flat([1] * 16), ProjMatrix.from_flat([49] * 16)
+    assert ones.proportional_to(scaled)
+    assert scaled.proportional_to(ones)
+    assert not ones.proportional_to(ProjMatrix.from_flat([49] * 15 + [48]))
+    assert not ones.proportional_to(ProjMatrix.from_flat([0] + [49] * 15))
+
+
 def test_point_condition_value_examples():
     assert point_condition_value(IDENTITY, (1, 0, 0, 0)) == 0
     assert point_condition_value(IDENTITY, (1, 0, 0, 1)) == 1

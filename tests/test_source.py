@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import predegree
@@ -16,4 +17,39 @@ def test_no_assert_statements_in_package():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert offenders == []
+
+
+def package_nodes():
+    """(file name, node) for every AST node of every module of the package."""
+    paths = sorted(Path(predegree.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
+def test_no_true_division_in_package():
+    # `/` on two ints gives a float; exact code divides Fractions or uses //.
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name, node in package_nodes()
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert offenders == []
+
+
+def test_package_imports_only_stdlib():
+    # The runtime needs only the standard library, as the README promises.
+    offenders = []
+    for name, node in package_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        offenders += [
+            f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in sys.stdlib_module_names
+        ]
     assert offenders == []

@@ -241,3 +241,26 @@ def test_run_tangent_checks_passes():
     assert payload["seed"] == 123
     assert payload["all_passed"] is True
     assert len(payload["checks"]) == len(report.checks)
+
+
+# -- the integer sampler against the Fraction sampler it replaced -------------
+
+
+def fraction_point(rng, length):
+    """The seeded Fraction sampler: coordinates a/b, -10 <= a <= 10, 1 <= b <= 10."""
+    while True:
+        candidate = tuple(Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(length))
+        if any(candidate):
+            return candidate
+
+
+def test_random_projective_point_scales_the_fraction_sample_to_ints():
+    for seed in range(40):
+        for length in (1, 2, 4, 16):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                point = random_projective_point(rng, length)
+                expected = fraction_point(reference, length)
+                assert {type(x) for x in point} == {int}
+                assert LinearSubspace.span([point]) == LinearSubspace.span([expected])
+                assert rng.getstate() == reference.getstate()
