@@ -1,14 +1,14 @@
 """Chow rings of products of projective spaces with exact coefficients.
 
-For factor dimensions (n_1, ..., n_r) the ring is the truncated polynomial
-ring Q[h_1, ..., h_r] / (h_1^{n_1+1}, ..., h_r^{n_r+1}), where h_i is the
-hyperplane class pulled back from the i-th factor.  Classes are stored
-sparsely as exponent tuple -> coefficient.  Each exponent tuple is coerced to
-ints and checked once with C-level builtins: a wrong length, then a negative
-exponent, raises ValueError, and a term past the truncation is dropped.  An
-``int`` coefficient stays an ``int`` and a ``Fraction`` stays a ``Fraction``
-(anything else goes through ``Fraction``), so integer classes stay integer.
-A class may mix codimensions; the codimension of a term is the total exponent.
+For factor dimensions (n_1, ..., n_r) the ring is the truncated polynomial ring
+Q[h_1, ..., h_r] / (h_1^{n_1+1}, ..., h_r^{n_r+1}), where h_i is the hyperplane class
+pulled back from the i-th factor.  Classes are stored sparsely as exponent tuple ->
+coefficient.  Exponents pass ``operator.index`` (a float or ``Fraction`` raises
+TypeError), and each tuple is checked once with C-level builtins: a wrong length,
+then a negative exponent, raises ValueError, and a term past the truncation is
+dropped.  An ``int`` coefficient stays an ``int`` and a ``Fraction`` stays a
+``Fraction`` (anything else goes through ``Fraction``), so integer classes stay
+integer.  A class may mix codimensions; the codimension of a term is the total exponent.
 
 Values are immutable once built and every operation returns a new class, so
 everything here is safe to share between threads.
@@ -32,7 +32,7 @@ class ProductSpace:
     factor_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.factor_dims)
+        dims = tuple(map(operator.index, self.factor_dims))
         if len(dims) < 1:
             raise ValueError("a product space needs at least one factor")
         if any(n < 0 for n in dims):
@@ -57,7 +57,7 @@ def _normalize(ambient: ProductSpace, items: Iterable[tuple[Exponents, Coefficie
     dims = ambient.factor_dims
     terms: dict[Exponents, Coefficient] = {}
     for exps, coeff in items:
-        exps = tuple(map(int, exps))
+        exps = tuple(map(operator.index, exps))
         if len(exps) != len(dims):
             raise ValueError("exponent tuple does not match the number of factors")
         if min(exps) < 0:

@@ -30,8 +30,8 @@ EXIT_INTEGRALITY = 3
 
 _INT64_MAX = 2**63 - 1
 
-# The Segre class costs box * sum(n_i + 1) additions and box products over the exponent
-# box prod(n_i + 1); the CLI refuses boxes beyond this size (15,15 is at the limit).
+# The Segre class costs about d^2 small products, d = sum n_i; within this limit on prod(n_i + 1) the
+# heaviest inputs take 12-19 ms (0,255), 2-4 ms (1,127) and 0.2-0.4 ms (15,15) in process.
 MAX_SEGRE_BOX = 256
 # deg SO(m) is an exact floor(m/2)-square determinant: m = 100 takes about 2 s
 # and the cost grows steeply past it, so the CLI refuses larger group sizes.

@@ -1,15 +1,19 @@
-"""Segre-embedding machinery for products of projective spaces.
+"""Segre-embedding machinery for products of projective spaces: the pushforward of
+monomial classes along a Segre embedding, the inverse Chern class of the normal bundle
+to the embedded product, and the pushed-forward Segre class of the image, all as
+integer series with no product, power or inverse in the Chow ring.
 
-Covers the pushforward of monomial classes along a Segre embedding, the
-inverse Chern class of the normal bundle to the embedded product, and the
-resulting pushed-forward Segre class of the image, all in integer series
-that need no product, power or inverse in the Chow ring.
+The Segre class of the image of X = P^{n_1} x ... x P^{n_r} in P^m needs only the
+d + 1 degrees deg c_j(TX) H^{d-j}, d = sum n_i: one product of r univariate
+polynomials gives them, and one convolution with (-1)^t C(m + t, t) gives the class,
+about d^2 small integer products with no pass over the exponent box prod(n_i + 1).
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
+from operator import index, mul
 
 from .chow import ChowClass, ProductSpace
 
@@ -31,7 +35,7 @@ def pushforward_monomial(space: ProductSpace, exps: tuple[int, ...]) -> tuple[in
     degree (sum d_i)! / prod d_i!.  Returns (coefficient, power) of the image
     class c * H^power in the target projective space.
     """
-    exps = tuple(int(e) for e in exps)
+    exps = tuple(map(index, exps))
     dims = space.factor_dims
     if len(exps) != len(dims):
         raise ValueError("exponent tuple does not match the number of factors")
@@ -52,11 +56,11 @@ def pushforward_class(cls: ChowClass) -> ChowClass:
     return ChowClass(ProductSpace((len(pushed) - 1,)), {(j,): value for j, value in enumerate(pushed)})
 
 
-def _normal_inverse_series(space: ProductSpace) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The exponent box e_i <= n_i in lexicographic order and, over it, the integer series
-    prod (1 + h_i)^{n_i+1} / (1 + sum h_i)^{m+1}: the inverse denominator
-    (-1)^|e| C(m + |e|, |e|) multinomial(e) from factorial tables, then n_i + 1 passes
-    of multiplication by 1 + h_i along each axis i, box * sum(n_i + 1) additions in all."""
+def normal_inverse_chern(space: ProductSpace) -> ChowClass:
+    """Inverse Chern class of the normal bundle to the Segre-embedded product,
+    prod (1 + h_i)^{n_i + 1} / (1 + sum h_i)^{m + 1} with m the dimension of the target: the
+    series (-1)^|e| C(m + |e|, |e|) multinomial(e) over the exponent box from factorial tables,
+    times each (1 + h_i)^{n_i + 1} in n_i + 1 passes along axis i, box * sum(n_i + 1) additions."""
     if space.num_factors < 2:
         raise ValueError("a Segre embedding needs at least two factors")
     dims, m = space.factor_dims, ambient_dim(space)
@@ -73,26 +77,27 @@ def _normal_inverse_series(space: ProductSpace) -> tuple[list[tuple[int, ...]], 
         for _ in range(n + 1):
             for at in raised:
                 series[at] += series[at - stride]
-    return box, series
-
-
-def normal_inverse_chern(space: ProductSpace) -> ChowClass:
-    """Inverse Chern class of the normal bundle to the Segre-embedded product:
-    prod (1 + h_i)^{n_i + 1} / (1 + sum h_i)^{m + 1}, m the dimension of the target."""
-    return ChowClass(space, dict(zip(*_normal_inverse_series(space))))
+    return ChowClass(space, dict(zip(box, series)))
 
 
 def segre_class_pushforward(space: ProductSpace) -> ChowClass:
-    """Pushed-forward Segre class of the Segre-embedded product, whose leading term is
-    deg(image) * H^codim.  For a smooth subvariety the Segre class is the inverse normal
-    Chern class capped with [X], so each box term c_e h^e of ``normal_inverse_chern``
-    adds c_e multinomial(n - e) to H^{codim + |e|}: one product per term, no class built."""
-    box, series = _normal_inverse_series(space)
-    total, m = space.total_dim, ambient_dim(space)
-    fact = [factorial(k) for k in range(total + 1)]
-    pushed = [0] * (m + 1)
-    # Read backwards, the lexicographic box lists n - e.
-    for e, rest, coeff in zip(box, reversed(box), series):
-        size = sum(e)
-        pushed[m - total + size] += coeff * fact[total - size] // prod(map(fact.__getitem__, rest))
-    return ChowClass(ProductSpace((m,)), {(j,): value for j, value in enumerate(pushed) if value})
+    """Pushed-forward Segre class of the Segre-embedded product, leading term deg(image) * H^codim.
+    For the smooth image X it is c(TX) c(TP^m)^{-1} capped with [X], so it needs only alpha_j =
+    deg c_j(TX) H^{d-j} = (d - j)! [x^j] prod Q_i / prod n_i! (d = sum n_i), Q_i(x) = sum_e
+    C(n_i + 1, e) n_i!/(n_i - e)! x^e; then H^{m-d+k} has coefficient sum_{j<=k} (-1)^{k-j}
+    C(m + k - j, k - j) alpha_j: about d^2 small integer products, with no exponent box."""
+    if space.num_factors < 2:
+        raise ValueError("a Segre embedding needs at least two factors")
+    dims, total, m = space.factor_dims, space.total_dim, ambient_dim(space)
+    chern = [1]
+    for n in dims:
+        grown = [0] * (len(chern) + n)
+        for e, q in enumerate(comb(n + 1, e) * perm(n, e) for e in range(n + 1)):
+            for at, c in enumerate(chern, e):
+                grown[at] += q * c
+        chern = grown
+    scale = prod(map(factorial, dims))
+    alpha = [factorial(total - j) * c // scale for j, c in enumerate(chern)]
+    inverse = [(-1) ** t * comb(m + t, t) for t in range(total + 1)]
+    pushed = [sum(map(mul, inverse[k::-1], alpha)) for k in range(total + 1)]
+    return ChowClass(ProductSpace((m,)), {(m - total + k,): value for k, value in enumerate(pushed)})

@@ -196,10 +196,16 @@ def random_projective_point(rng: random.Random, length: int) -> Vector:
 
 
 def random_pencil(rng: random.Random, target_rank: int = 2) -> Matrix:
-    """Random nonzero 2x4 matrix of the requested rank."""
+    """Random nonzero 2x4 matrix of rank 1 (a sampled row over a multiple of it) or 2."""
+    if target_rank not in (1, 2):
+        raise ValueError("a nonzero 2x4 matrix has rank 1 or 2")
+    if target_rank == 1:
+        row = random_projective_point(rng, 4)
+        scale = rng.randint(1, 10)
+        return row, tuple(scale * x for x in row)
     while True:
         candidate = (random_projective_point(rng, 4), random_projective_point(rng, 4))
-        if rank(candidate) == target_rank:
+        if rank(candidate) == 2:
             return candidate
 
 

@@ -158,6 +158,18 @@ def test_int_like_exponents_are_coerced():
     assert all(type(e) is int for e in next(iter(cls.terms)))
 
 
+@pytest.mark.parametrize("dims", [(2.5, 1.9), (Fraction(2), 1), (1.0, 7)])
+def test_non_integral_factor_dims_raise(dims):
+    with pytest.raises(TypeError):
+        ProductSpace(dims)
+
+
+@pytest.mark.parametrize("exps", [(0.5, 1.7), (Fraction(1), 2), (1, 2.0)])
+def test_non_integral_exponents_raise(exps):
+    with pytest.raises(TypeError):
+        ChowClass(P1x7, {exps: 3})
+
+
 def test_negative_exponent_raises_before_truncation():
     # 9 > 7 alone would drop the term; the negative exponent must still raise.
     with pytest.raises(ValueError, match="negative exponent"):

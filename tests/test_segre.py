@@ -1,3 +1,5 @@
+from fractions import Fraction
+from itertools import permutations
 from math import comb, prod
 
 import pytest
@@ -63,6 +65,12 @@ def test_pushforward_monomial_rejects_out_of_range():
         pushforward_monomial(P1x7, (0, 8))
     with pytest.raises(ValueError):
         pushforward_monomial(P1x7, (0,))
+
+
+@pytest.mark.parametrize("exps", [(0.9, 0.2), (Fraction(1), 0), (0, 7.0)])
+def test_pushforward_monomial_rejects_non_integral_exponents(exps):
+    with pytest.raises(TypeError):
+        pushforward_monomial(P1x7, exps)
 
 
 def test_pushforward_class_examples():
@@ -215,3 +223,45 @@ def test_integer_inputs_keep_int_coefficients():
     ]
     for cls in classes:
         assert cls.terms and all(type(c) is int for c in cls.terms.values())
+
+
+def sorted_factor_tuples(max_box):
+    """Every non-decreasing tuple of 2 to 5 factor dimensions with prod(n_i + 1) <= max_box."""
+    def extend(prefix, box):
+        if len(prefix) >= 2:
+            yield prefix
+        if len(prefix) < 5:
+            for n in range(prefix[-1] if prefix else 0, max_box // box):
+                yield from extend(prefix + (n,), box * (n + 1))
+
+    return list(extend((), 1))
+
+
+SMALL_FACTOR_TUPLES = sorted_factor_tuples(64)
+
+
+def test_small_factor_tuples_are_enumerated():
+    assert len(SMALL_FACTOR_TUPLES) == 717
+    assert (0, 0) in SMALL_FACTOR_TUPLES and (0, 63) in SMALL_FACTOR_TUPLES
+    assert (1, 1, 1, 1, 1) in SMALL_FACTOR_TUPLES and (1, 1, 1, 1, 1, 1) not in SMALL_FACTOR_TUPLES
+
+
+def test_segre_class_on_every_small_product():
+    # Three checks that share no code with segre_class_pushforward: the composed
+    # box path, the Euler characteristic deg c_top(TX) = prod(n_i + 1) read off
+    # c(TP^m) = (1 + H)^{m+1} times the Segre class, and the leading term deg X.
+    for dims in SMALL_FACTOR_TUPLES:
+        space = ProductSpace(dims)
+        m, codim = ambient_dim(space), ambient_dim(space) - sum(dims)
+        cls = segre_class_pushforward(space)
+        assert cls == pushforward_class(normal_inverse_chern(space)), dims
+        s = [cls.coefficient((j,)) for j in range(m + 1)]
+        assert sum(comb(m + 1, m - j) * s[j] for j in range(m + 1)) == prod(n + 1 for n in dims), dims
+        assert s[:codim] == [0] * codim and s[codim] == multinomial(dims), dims
+
+
+@pytest.mark.parametrize("dims", [(0, 1, 3), (1, 2, 3), (2, 0, 4, 1), (1, 1, 2, 0, 1), (3, 15)])
+def test_segre_class_is_symmetric_in_the_factors(dims):
+    expected = segre_class_pushforward(ProductSpace(dims))
+    for order in set(permutations(dims)):
+        assert segre_class_pushforward(ProductSpace(order)) == expected, order

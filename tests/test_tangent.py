@@ -264,3 +264,21 @@ def test_random_projective_point_scales_the_fraction_sample_to_ints():
                 assert {type(x) for x in point} == {int}
                 assert LinearSubspace.span([point]) == LinearSubspace.span([expected])
                 assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("target_rank", [0, 3, -1])
+def test_random_pencil_rejects_impossible_ranks_before_drawing(target_rank):
+    # A 2x4 matrix with two nonzero rows has rank 1 or 2, so no draw can meet
+    # any other target.
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="rank 1 or 2"):
+        random_pencil(rng, target_rank)
+    assert rng.getstate() == random.Random(0).getstate()
+
+
+def test_random_pencil_draws_each_possible_rank():
+    rng = random.Random(0)
+    for target_rank in (1, 2) * 20:
+        pencil = random_pencil(rng, target_rank)
+        assert LinearSubspace.span(pencil, 4).dim() == target_rank
+        assert all(any(row) for row in pencil)
