@@ -3,12 +3,13 @@
 For factor dimensions (n_1, ..., n_r) the ring is the truncated polynomial ring
 Q[h_1, ..., h_r] / (h_1^{n_1+1}, ..., h_r^{n_r+1}), where h_i is the hyperplane class
 pulled back from the i-th factor.  Classes are stored sparsely as exponent tuple ->
-coefficient.  Exponents pass ``operator.index`` (a float or ``Fraction`` raises
-TypeError), and each tuple is checked once with C-level builtins: a wrong length,
-then a negative exponent, raises ValueError, and a term past the truncation is
-dropped.  An ``int`` coefficient stays an ``int`` and a ``Fraction`` stays a
-``Fraction`` (anything else goes through ``Fraction``), so integer classes stay
-integer.  A class may mix codimensions; the codimension of a term is the total exponent.
+coefficient.  Terms are checked once, at the public constructor ``ChowClass(...)``:
+exponents pass ``operator.index`` (a float or ``Fraction`` raises TypeError), a wrong
+length, then a negative exponent, raises ValueError, and a term past the truncation is
+dropped.  Results the package builds are not re-checked: ``ChowClass._built`` only drops
+their zero terms.  An ``int`` coefficient stays an ``int`` and a ``Fraction`` stays a
+``Fraction`` (anything else goes through ``Fraction``), so integer classes stay integer.
+A class may mix codimensions; the codimension of a term is the total exponent.
 
 Values are immutable once built and every operation returns a new class, so
 everything here is safe to share between threads.
@@ -35,7 +36,7 @@ class ProductSpace:
         dims = tuple(map(operator.index, self.factor_dims))
         if len(dims) < 1:
             raise ValueError("a product space needs at least one factor")
-        if any(n < 0 for n in dims):
+        if min(dims) < 0:
             raise ValueError("factor dimensions must be non-negative")
         object.__setattr__(self, "factor_dims", dims)
 
@@ -91,6 +92,14 @@ class ChowClass:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _built(cls, ambient: ProductSpace, items: Iterable[tuple[Exponents, Coefficient]]) -> "ChowClass":
+        """Class from terms the package built: distinct exponent tuples of plain ints inside the
+        truncation, with int or Fraction coefficients (not checked); zero terms are dropped."""
+        built = object.__new__(cls)
+        vars(built).update(ambient=ambient, terms={exps: coeff for exps, coeff in items if coeff})
+        return built
+
+    @classmethod
     def zero(cls, ambient: ProductSpace) -> "ChowClass":
         return cls(ambient, {})
 
@@ -134,7 +143,7 @@ class ChowClass:
                 raise ValueError("classes live in different ambient spaces")
             return other
         if isinstance(other, (int, Fraction)):
-            return ChowClass(self.ambient, {(0,) * self.ambient.num_factors: other})
+            return ChowClass._built(self.ambient, [((0,) * self.ambient.num_factors, other)])
         return NotImplemented
 
     def __add__(self, other) -> "ChowClass":
@@ -144,12 +153,12 @@ class ChowClass:
         merged = dict(self.terms)
         for exps, coeff in other.terms.items():
             merged[exps] = merged.get(exps, 0) + coeff
-        return ChowClass(self.ambient, merged)
+        return ChowClass._built(self.ambient, merged.items())
 
     __radd__ = __add__
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(self.ambient, {e: -c for e, c in self.terms.items()})
+        return ChowClass._built(self.ambient, [(e, -c) for e, c in self.terms.items()])
 
     def __sub__(self, other) -> "ChowClass":
         other = self._coerce(other)
@@ -172,7 +181,7 @@ class ChowClass:
                 if any(e > n for e, n in zip(exps, dims)):
                     continue
                 product[exps] = product.get(exps, 0) + c1 * c2
-        return ChowClass(self.ambient, product)
+        return ChowClass._built(self.ambient, product.items())
 
     __rmul__ = __mul__
 
@@ -212,7 +221,7 @@ class ChowClass:
         """The piece of the class in codimension j (total exponent j)."""
         if not 0 <= j <= self.ambient.total_dim:
             raise ValueError("codimension out of range for the ambient space")
-        return ChowClass(self.ambient, {e: c for e, c in self.terms.items() if sum(e) == j})
+        return ChowClass._built(self.ambient, [(e, c) for e, c in self.terms.items() if sum(e) == j])
 
     def integrate(self) -> Coefficient:
         """Degree of the zero-dimensional piece: coefficient of the point class."""

@@ -31,13 +31,15 @@ EXIT_INTEGRALITY = 3
 _INT64_MAX = 2**63 - 1
 
 # The Segre class costs about d^2 small products, d = sum n_i; within this limit on prod(n_i + 1) the
-# heaviest inputs take 12-19 ms (0,255), 2-4 ms (1,127) and 0.2-0.4 ms (15,15) in process.
+# heaviest inputs take 14-17 ms (0,255), 3-4 ms (1,127) and 0.2-0.3 ms (15,15) in process.
 MAX_SEGRE_BOX = 256
 # deg SO(m) is an exact floor(m/2)-square determinant: m = 100 takes about 2 s
 # and the cost grows steeply past it, so the CLI refuses larger group sizes.
 MAX_GROUP_M = 100
 # A tangent-check sample costs about 8 ms, so 1000 samples take about 8 s.
 MAX_TANGENT_SAMPLES = 1000
+# a_i has about i * log10(d) digits: the largest answer within both limits has 766.
+MAX_COEFF_DEGREE = 1000
 
 
 def json_int(value: int):
@@ -161,6 +163,8 @@ def cmd_member(args) -> int:
 
 def cmd_coeff(args) -> int:
     space = _segre_space(args.segre_factors)
+    if args.d > MAX_COEFF_DEGREE:
+        raise ValueError(f"--d {args.d} exceeds the limit of {MAX_COEFF_DEGREE}")
     cls = segre.segre_class_pushforward(space)
     if args.double:
         cls = 2 * cls
@@ -224,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeff", help="single predegree coefficient from a Segre class")
     p.add_argument("--i", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=2, help=f"hypersurface degree, 1 to {MAX_COEFF_DEGREE}")
     p.add_argument("--segre-factors", type=parse_int_list, default=[1, 7], metavar="n1,n2,...",
                    help=f"Segre factor dimensions, with prod(n_i + 1) at most {MAX_SEGRE_BOX}")
     p.add_argument("--double", action="store_true", help="use twice the Segre class")

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
+from operator import index
 
 from .chow import ChowClass
 from .linalg import det
@@ -47,10 +48,10 @@ class PredegreePolynomial:
         n = self.ambient_dim
         if n < 1:
             raise ValueError("ambient dimension must be at least 1")
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(index, self.coeffs))
         if len(coeffs) != n * n + 2 * n + 1:
             raise ValueError("expected n^2 + 2n + 1 coefficients")
-        if any(c < 0 for c in coeffs):
+        if min(coeffs) < 0:
             raise ValueError("predegree coefficients are counts and cannot be negative")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -96,8 +97,9 @@ def tensor_class(cls: ChowClass, twist: int) -> ChowClass:
 
     Acts on the codimension-j piece by division by (1 + twist*H)^j, which is
     the binomial series s_j H^j sum_k C(j+k-1, k) (-twist)^k H^k; the
-    codimension-0 piece is unchanged.
+    codimension-0 piece is unchanged.  The twist must be an integer.
     """
+    twist = index(twist)
     ambient = cls.ambient
     if ambient.num_factors != 1:
         raise ValueError("the twist is defined on a single projective space")
@@ -108,7 +110,7 @@ def tensor_class(cls: ChowClass, twist: int) -> ChowClass:
             continue
         for k in range(ambient.total_dim - j + 1):
             twisted[j + k] += s_j * comb(j + k - 1, k) * (-twist) ** k
-    return ChowClass(ambient, {(c,): value for c, value in enumerate(twisted)})
+    return ChowClass._built(ambient, [((c,), value) for c, value in enumerate(twisted)])
 
 
 def _coefficients(n_total: int, d: int, segre_class: ChowClass | None, indices) -> list[int]:

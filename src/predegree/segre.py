@@ -53,7 +53,7 @@ def pushforward_class(cls: ChowClass) -> ChowClass:
     for exps, coeff in cls.terms.items():
         c, power = pushforward_monomial(cls.ambient, exps)
         pushed[power] += c * coeff
-    return ChowClass(ProductSpace((len(pushed) - 1,)), {(j,): value for j, value in enumerate(pushed)})
+    return ChowClass._built(ProductSpace((len(pushed) - 1,)), [((j,), c) for j, c in enumerate(pushed)])
 
 
 def normal_inverse_chern(space: ProductSpace) -> ChowClass:
@@ -77,7 +77,7 @@ def normal_inverse_chern(space: ProductSpace) -> ChowClass:
         for _ in range(n + 1):
             for at in raised:
                 series[at] += series[at - stride]
-    return ChowClass(space, dict(zip(box, series)))
+    return ChowClass._built(space, zip(box, series))
 
 
 def segre_class_pushforward(space: ProductSpace) -> ChowClass:
@@ -100,4 +100,4 @@ def segre_class_pushforward(space: ProductSpace) -> ChowClass:
     alpha = [factorial(total - j) * c // scale for j, c in enumerate(chern)]
     inverse = [(-1) ** t * comb(m + t, t) for t in range(total + 1)]
     pushed = [sum(map(mul, inverse[k::-1], alpha)) for k in range(total + 1)]
-    return ChowClass(ProductSpace((m,)), {(m - total + k,): value for k, value in enumerate(pushed)})
+    return ChowClass._built(ProductSpace((m,)), [((m - total + k,), value) for k, value in enumerate(pushed)])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from predegree import cli, polynomial
+from predegree import cli, polynomial, segre
 from predegree.polynomial import IntegralityError
 from predegree.tangent import CheckResult, TangentReport
 
@@ -265,6 +265,26 @@ def test_coeff_degree_must_be_positive(capsys, d):
     code, out, err = run_cli(capsys, "coeff", "--i", "3", "--d", d)
     assert code == 2
     assert out == "" and "degree d" in err
+
+
+@pytest.mark.parametrize("d", ["1001", "100000000000000000000"])
+def test_coeff_degree_is_bounded(capsys, monkeypatch, d):
+    # Past the limit nothing is computed; the stubs record any attempt.
+    requested = []
+    monkeypatch.setattr(segre, "segre_class_pushforward", lambda space: requested.append(space))
+    monkeypatch.setattr(cli, "predegree_coefficient", lambda *args: requested.append(args) or 7)
+    code, out, err = run_cli(capsys, "coeff", "--segre-factors", "1,127", "--i", "255", "--d", d)
+    assert code == 2
+    assert out == "" and "limit of 1000" in err
+    assert requested == []
+
+
+def test_coeff_degree_limit_is_inclusive(capsys):
+    # The largest answer within both limits still prints as a decimal integer.
+    code, out, _ = run_cli(capsys, "coeff", "--segre-factors", "0,255", "--i", "255", "--d", "1000", "--double")
+    assert code == 0 and len(out.strip().lstrip("-")) == 766
+    code, out, _ = run_cli(capsys, "coeff", "--i", "3", "--d", "1000", "--json")
+    assert code == 0 and json.loads(out)["result"]["coefficient"] == 1000**3
 
 
 def test_golden_outputs(capsys):

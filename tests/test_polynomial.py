@@ -1,5 +1,6 @@
 import random
 import re
+from enum import IntEnum
 from fractions import Fraction
 from math import factorial
 
@@ -183,6 +184,28 @@ def test_polynomial_type_validation():
     assert poly.transformation_space_dim == 3
     assert poly.degree() == 2
     assert poly.as_string() == "1 + 2t + 2t^2"
+
+
+class Count(IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize("coeffs", [(1, 2.7, Fraction(7, 2), 0), (1, 2, 2.0, 0), (1, Fraction(2), 2, 0)])
+def test_non_integral_polynomial_coefficients_raise(coeffs):
+    with pytest.raises(TypeError):
+        PredegreePolynomial(1, coeffs)
+
+
+def test_int_like_polynomial_coefficients_are_coerced():
+    poly = PredegreePolynomial(1, (True, 2, Count.THREE, 0))
+    assert poly.coeffs == (1, 2, 3, 0)
+    assert all(type(c) is int for c in poly.coeffs)
+
+
+@pytest.mark.parametrize("twist", [0.5, 2.0, Fraction(1)])
+def test_tensor_class_needs_an_integer_twist(twist):
+    with pytest.raises(TypeError):
+        tensor_class(H(2), twist)
 
 
 def test_format_polynomial_sentinel():
