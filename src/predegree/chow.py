@@ -7,9 +7,9 @@ coefficient.  Terms are checked once, at the public constructor ``ChowClass(...)
 exponents pass ``operator.index`` (a float or ``Fraction`` raises TypeError), a wrong
 length, then a negative exponent, raises ValueError, and a term past the truncation is
 dropped.  Results the package builds are not re-checked: ``ChowClass._built`` only drops
-their zero terms.  An ``int`` coefficient stays an ``int`` and a ``Fraction`` stays a
-``Fraction`` (anything else goes through ``Fraction``), so integer classes stay integer.
-A class may mix codimensions; the codimension of a term is the total exponent.
+their zero terms.  An ``int`` coefficient stays an ``int``, a ``Fraction`` stays a
+``Fraction``, a float raises TypeError and anything else goes through ``Fraction``, so
+integer classes stay integer.  A class may mix codimensions, of total exponent per term.
 
 Values are immutable once built and every operation returns a new class, so
 everything here is safe to share between threads.
@@ -67,6 +67,8 @@ def _normalize(ambient: ProductSpace, items: Iterable[tuple[Exponents, Coefficie
             # h_i^{n_i+1} = 0, so the monomial vanishes in the quotient.
             continue
         if not isinstance(coeff, (int, Fraction)):
+            if isinstance(coeff, float):
+                raise TypeError("a float coefficient is inexact: pass an int, a Fraction or a string such as '1/2'")
             coeff = Fraction(coeff)
         total = terms.get(exps, 0) + coeff
         if total:

@@ -2,12 +2,12 @@
 
 Vectors are tuples of rationals and matrices are tuples of such row vectors.
 An ``int`` entry stays an ``int`` and anything else (``str``, ``Fraction``)
-is a ``Fraction``; ``coerce`` is the one place that applies this rule, so
-integer inputs stay integer from the caller to the answer.  One fraction-free
-integer elimination does every reduction: each row is coerced and cleared of
-denominators once, and rref, rank, det, subspace membership and (Zassenhaus)
-intersection all read their answer off it.  There is no floating point and no
-tolerance anywhere in the package.
+is a ``Fraction``: ``coerce`` applies this rule to inputs and ``ratio`` to
+computed quotients, so integer inputs stay integer to the answer.  One
+fraction-free integer elimination does every reduction: each row is coerced
+and cleared of denominators once, and rref, rank, det, subspace membership and
+(Zassenhaus) intersection all read their answer off it.  There is no floating
+point and no tolerance anywhere in the package.
 """
 
 from __future__ import annotations
@@ -63,6 +63,11 @@ def outer(u: Sequence[Rational], v: Sequence[Rational]) -> Matrix:
     return tuple(tuple(x * y for y in v) for x in u)
 
 
+def ratio(numerator: int, denominator: int) -> Rational:
+    """numerator / denominator: an int when the division is exact, else a Fraction."""
+    return numerator // denominator if numerator % denominator == 0 else Fraction(numerator, denominator)
+
+
 def flatten(m: Matrix) -> Vector:
     """Row-major flattening of a matrix into a single vector."""
     return tuple(x for row in m for x in row)
@@ -112,7 +117,7 @@ def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], int, int, int
 def rref(rows: Iterable[Sequence]) -> Matrix:
     """Reduced row echelon form with zero rows dropped; integral entries are ints."""
     pivot_rows, d, _, _ = _eliminate(rows)
-    return tuple(tuple(x // d if x % d == 0 else Fraction(x, d) for x in row) for row in pivot_rows)
+    return tuple(tuple(ratio(x, d) for x in row) for row in pivot_rows)
 
 
 def rank(rows: Iterable[Sequence]) -> int:
@@ -137,8 +142,8 @@ def nullspace(rows: Iterable[Sequence]) -> list[Vector]:
     return basis
 
 
-def det(rows: Iterable[Sequence]) -> Fraction:
-    """Determinant from the integer elimination.
+def det(rows: Iterable[Sequence]) -> Rational:
+    """Determinant from the integer elimination; an int when it is integral.
 
     At full rank the last pivot d is the determinant of the cleared rows up to
     the sign of the row swaps, so det = sign * d / scale; otherwise it is 0.
@@ -148,9 +153,7 @@ def det(rows: Iterable[Sequence]) -> Fraction:
     if any(len(r) != n for r in m):
         raise ValueError("determinant requires a square matrix")
     pivot_rows, d, sign, scale = _eliminate(m)
-    if len(pivot_rows) < n:
-        return Fraction(0)
-    return Fraction(sign * d, scale)
+    return ratio(sign * d, scale) if len(pivot_rows) == n else 0
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ class PredegreePolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.ambient_dim
+        n = index(self.ambient_dim)
         if n < 1:
             raise ValueError("ambient dimension must be at least 1")
         coeffs = tuple(map(index, self.coeffs))
@@ -53,6 +53,7 @@ class PredegreePolynomial:
             raise ValueError("expected n^2 + 2n + 1 coefficients")
         if min(coeffs) < 0:
             raise ValueError("predegree coefficients are counts and cannot be negative")
+        object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

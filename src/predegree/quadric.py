@@ -11,13 +11,13 @@ and the two summary tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import segre
 from .chow import ChowClass, ProductSpace
-from .linalg import Matrix, Rational, Vector, coerce, det, dot, is_zero_vector, mat_mul, mat_vec, outer, rank, transpose
+from .linalg import Matrix, Rational, Vector, coerce, det, dot, flatten, is_zero_vector, mat_mul, mat_vec, outer
+from .linalg import rank, ratio, transpose
 from .polynomial import (
     PredegreePolynomial,
     deg_po,
@@ -25,6 +25,9 @@ from .polynomial import (
     max_component_dim,
     predegree_from_segre,
 )
+
+# Points of P^3 have four coordinates: the transformations are 4x4 matrices, a P^15.
+MATRIX_SIDE = 4
 
 # Dimension of the orbit of a smooth quadric surface: the orbit is dense in
 # the P^9 of quadric surfaces.
@@ -37,6 +40,14 @@ ORBIT_DIM_P3 = 9
 BASE_INTERSECTION_CODIM = 10
 
 
+def _square_matrix(entries: Sequence[Sequence]) -> Matrix:
+    """The rows of a MATRIX_SIDE x MATRIX_SIDE matrix, coerced to rationals."""
+    rows = tuple(map(coerce, entries))
+    if len(rows) != MATRIX_SIDE or any(len(r) != MATRIX_SIDE for r in rows):
+        raise ValueError(f"expected a {MATRIX_SIDE}x{MATRIX_SIDE} matrix")
+    return rows
+
+
 @dataclass(frozen=True)
 class ProjMatrix:
     """A point of the P^15 of 4x4 matrices: nonzero entries up to scale."""
@@ -44,9 +55,7 @@ class ProjMatrix:
     entries: Matrix
 
     def __post_init__(self):
-        rows = tuple(map(coerce, self.entries))
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
-            raise ValueError("expected a 4x4 matrix")
+        rows = _square_matrix(self.entries)
         if all(is_zero_vector(r) for r in rows):
             raise ValueError("the zero matrix is not a projective point")
         object.__setattr__(self, "entries", rows)
@@ -54,12 +63,12 @@ class ProjMatrix:
     @classmethod
     def from_flat(cls, values: Sequence) -> "ProjMatrix":
         values = coerce(values)
-        if len(values) != 16:
-            raise ValueError("expected 16 entries in row-major order")
-        return cls(tuple(values[4 * i : 4 * i + 4] for i in range(4)))
+        if len(values) != MATRIX_SIDE ** 2:
+            raise ValueError(f"expected {MATRIX_SIDE ** 2} entries in row-major order")
+        return cls(tuple(values[i : i + MATRIX_SIDE] for i in range(0, len(values), MATRIX_SIDE)))
 
     def flatten(self) -> Vector:
-        return tuple(x for row in self.entries for x in row)
+        return flatten(self.entries)
 
     def apply(self, point: Sequence) -> Vector:
         return mat_vec(self.entries, coerce(point))
@@ -78,19 +87,24 @@ class ProjMatrix:
 
 @dataclass(frozen=True)
 class QuadricGram:
-    """Symmetric Gram matrix M of a quadratic form f(x) = x^T M x."""
+    """Symmetric Gram matrix M of a quadratic form f(x) = x^T M x.
+
+    ``polar`` is 2M, the matrix of the polar form f(x + y) - f(x) - f(y), with
+    ints where integral: for x0*x3 - x1*x2 gradients and composites stay int.
+    """
 
     entries: Matrix
+    polar: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = tuple(map(coerce, self.entries))
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
-            raise ValueError("expected a 4x4 matrix")
+        rows = _square_matrix(self.entries)
         if rows != transpose(rows):
             raise ValueError("the Gram matrix must be symmetric")
         if det(rows) == 0:
             raise ValueError("the quadric must be smooth (nonzero determinant)")
         object.__setattr__(self, "entries", rows)
+        polar = tuple(tuple(ratio(2 * x.numerator, x.denominator) for x in row) for row in rows)
+        object.__setattr__(self, "polar", polar)
 
     def value(self, point: Sequence) -> Rational:
         v = coerce(point)
@@ -98,18 +112,25 @@ class QuadricGram:
 
     def gradient(self, point: Sequence) -> Vector:
         """Gradient of the quadratic form: 2 M x."""
-        return tuple(2 * x for x in mat_vec(self.entries, coerce(point)))
+        return mat_vec(self.polar, coerce(point))
 
 
 # Gram matrix of x0*x3 - x1*x2, the Segre quadric surface.
 SEGRE_QUADRIC = QuadricGram(
     (
-        (0, 0, 0, Fraction(1, 2)),
-        (0, 0, Fraction(-1, 2), 0),
-        (0, Fraction(-1, 2), 0, 0),
-        (Fraction(1, 2), 0, 0, 0),
+        (0, 0, 0, "1/2"),
+        (0, 0, "-1/2", 0),
+        (0, "-1/2", 0, 0),
+        ("1/2", 0, 0, 0),
     )
 )
+
+
+def _nonzero_point(point: Sequence) -> Vector:
+    q = coerce(point)
+    if is_zero_vector(q):
+        raise ValueError("the point of P^3 must be nonzero")
+    return q
 
 
 def point_condition_value(phi: ProjMatrix, point: Sequence, gram: QuadricGram = SEGRE_QUADRIC) -> Rational:
@@ -119,10 +140,7 @@ def point_condition_value(phi: ProjMatrix, point: Sequence, gram: QuadricGram = 
     f(psi(q)) = 0; the returned representative is f(phi(q)), well defined up
     to squared rescalings of phi and q.
     """
-    q = coerce(point)
-    if is_zero_vector(q):
-        raise ValueError("the point of P^3 must be nonzero")
-    return gram.value(phi.apply(q))
+    return gram.value(phi.apply(_nonzero_point(point)))
 
 
 def point_condition_gradient(phi: ProjMatrix, point: Sequence, gram: QuadricGram = SEGRE_QUADRIC) -> Matrix:
@@ -131,40 +149,22 @@ def point_condition_gradient(phi: ProjMatrix, point: Sequence, gram: QuadricGram
     Equals 2 (M phi q) q^T; pairing it entrywise with psi gives the
     directional derivative grad f(phi q) . (psi q).
     """
-    q = coerce(point)
-    if is_zero_vector(q):
-        raise ValueError("the point of P^3 must be nonzero")
+    q = _nonzero_point(point)
     return outer(gram.gradient(phi.apply(q)), q)
 
 
-def _segre_rows(p: Vector, xi: Matrix, interleave: bool) -> Matrix:
-    """The bilinear ruling map, without projectivity checks; interleave picks the second ruling."""
-    top, bottom = xi
-    if interleave:
-        return (
-            tuple(p[0] * t for t in top),
-            tuple(p[1] * t for t in top),
-            tuple(p[0] * t for t in bottom),
-            tuple(p[1] * t for t in bottom),
-        )
-    return (
-        tuple(p[0] * t for t in top),
-        tuple(p[0] * t for t in bottom),
-        tuple(p[1] * t for t in top),
-        tuple(p[1] * t for t in bottom),
-    )
-
-
-def _validated_ruling_input(p: Sequence, xi: Sequence[Sequence]) -> tuple[Vector, Matrix]:
+def _ruling(second: bool, p: Sequence, xi: Sequence[Sequence]) -> ProjMatrix:
+    """The bilinear ruling map: rows p_a * xi_b, ordered by (a, b), or by (b, a) for the second ruling."""
     pv = coerce(p)
     xim = tuple(map(coerce, xi))
     if len(pv) != 2:
         raise ValueError("expected a point of P^1 (two coordinates)")
-    if len(xim) != 2 or any(len(r) != 4 for r in xim):
-        raise ValueError("expected a 2x4 matrix for the P^7 factor")
+    if len(xim) != 2 or any(len(r) != MATRIX_SIDE for r in xim):
+        raise ValueError(f"expected a 2x{MATRIX_SIDE} matrix for the P^7 factor")
     if is_zero_vector(pv) or all(is_zero_vector(r) for r in xim):
         raise ValueError("projective coordinates cannot all vanish")
-    return pv, xim
+    order = [(a, b) for b in range(2) for a in range(2)] if second else [(a, b) for a in range(2) for b in range(2)]
+    return ProjMatrix(tuple(tuple(pv[a] * t for t in xim[b]) for a, b in order))
 
 
 def sigma1(p: Sequence, xi: Sequence[Sequence]) -> ProjMatrix:
@@ -173,8 +173,7 @@ def sigma1(p: Sequence, xi: Sequence[Sequence]) -> ProjMatrix:
     The 2x4 matrix xi = (t0..t3; t4..t7) is the P^7 coordinate; rows of the
     output are (s0*t0..t3, s0*t4..t7, s1*t0..t3, s1*t4..t7).
     """
-    pv, xim = _validated_ruling_input(p, xi)
-    return ProjMatrix(_segre_rows(pv, xim, interleave=False))
+    return _ruling(False, p, xi)
 
 
 def sigma2(p: Sequence, xi: Sequence[Sequence]) -> ProjMatrix:
@@ -182,17 +181,16 @@ def sigma2(p: Sequence, xi: Sequence[Sequence]) -> ProjMatrix:
 
     Rows of the output are (s0*t0..t3, s1*t0..t3, s0*t4..t7, s1*t4..t7).
     """
-    pv, xim = _validated_ruling_input(p, xi)
-    return ProjMatrix(_segre_rows(pv, xim, interleave=True))
+    return _ruling(True, p, xi)
 
 
 def base_scheme_member(phi: ProjMatrix, gram: QuadricGram = SEGRE_QUADRIC) -> bool:
     """Whether the image of phi lies inside the quadric.
 
     The composite form f(phi(x)) has Gram matrix phi^T M phi, so membership
-    is the exact matrix identity phi^T M phi = 0.
+    is the exact matrix identity phi^T M phi = 0, read off phi^T (2M) phi.
     """
-    composite = mat_mul(mat_mul(transpose(phi.entries), gram.entries), phi.entries)
+    composite = mat_mul(mat_mul(transpose(phi.entries), gram.polar), phi.entries)
     return all(is_zero_vector(row) for row in composite)
 
 
@@ -210,7 +208,7 @@ def predegree_quadric_p3() -> PredegreePolynomial:
     """
     if BASE_INTERSECTION_CODIM <= ORBIT_DIM_P3:
         raise ArithmeticError("the component intersection is too large to drop from the class")
-    n_total = 15
+    n_total = MATRIX_SIDE ** 2 - 1
     return predegree_from_segre(n_total, 2, doubled_ruling_segre_class(), ORBIT_DIM_P3)
 
 

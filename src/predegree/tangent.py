@@ -7,27 +7,21 @@ is used: the gradient of a point condition depends on the point q only
 through the symmetric tensor q q^T, so the span of the gradients over the ten
 points {e_i} and {e_i + e_j} equals the span over all of P^3.
 
-Coordinates on the space of 4x4 matrices are flattened row-major, so the
-matrix entry a_{i,j} is coordinate 4*i + j of a 16-vector.
+Every size here derives from the matrix side ``quadric.MATRIX_SIDE`` (4).
+Matrices are flattened row-major: the entry a_{i,j} is coordinate
+MATRIX_SIDE * i + j of a vector of length MATRIX_SPACE_DIM = MATRIX_SIDE ** 2.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
 from .linalg import LinearSubspace, Matrix, Vector, coerce, dot, flatten, is_zero_vector, outer, rank
-from .quadric import (
-    SEGRE_QUADRIC,
-    ProjMatrix,
-    QuadricGram,
-    _segre_rows,
-    _validated_ruling_input,
-    point_condition_gradient,
-    sigma1,
-)
+from .quadric import MATRIX_SIDE, SEGRE_QUADRIC, ProjMatrix, QuadricGram, point_condition_gradient, sigma1, sigma2
 
 
 def _unit(length: int, index: int) -> Vector:
@@ -36,11 +30,11 @@ def _unit(length: int, index: int) -> Vector:
 
 
 # e_i and e_i + e_j: enough points to span every symmetric tensor q q^T.
-POLARIZATION_POINTS: tuple[Vector, ...] = tuple(_unit(4, i) for i in range(4)) + tuple(
-    tuple(a + b for a, b in zip(_unit(4, i), _unit(4, j))) for i in range(4) for j in range(i + 1, 4)
+POLARIZATION_POINTS: tuple[Vector, ...] = tuple(_unit(MATRIX_SIDE, i) for i in range(MATRIX_SIDE)) + tuple(
+    tuple(int(c in pair) for c in range(MATRIX_SIDE)) for pair in combinations(range(MATRIX_SIDE), 2)
 )
 
-MATRIX_SPACE_DIM = 16
+MATRIX_SPACE_DIM = MATRIX_SIDE ** 2
 
 
 def _multilinear_tangent(f, *args: Vector) -> LinearSubspace:
@@ -60,7 +54,7 @@ def gradient_span(phi: ProjMatrix, gram: QuadricGram = SEGRE_QUADRIC) -> LinearS
     """Span of the point-condition gradients at phi over all points of P^3.
 
     The common tangent space of all point conditions at phi is the annihilator
-    of this span; its projective dimension is 15 minus the span dimension.
+    of this span, of projective dimension MATRIX_SPACE_DIM - 1 - span.dim().
     """
     gradients = [
         flatten(point_condition_gradient(phi, q, gram)) for q in POLARIZATION_POINTS
@@ -74,14 +68,14 @@ def tangent_ruling_component(which: int, p: Sequence, xi: Sequence[Sequence]) ->
     Spanned by the images under the bilinear ruling map of the eight
     coordinate directions in the P^7 factor and the two coordinate directions
     in the P^1 factor; the result always has linear dimension 9 (a projective
-    P^8).
+    P^8).  The inputs are checked by sigma1 or sigma2 at (p, xi) itself.
     """
     if which not in (1, 2):
         raise ValueError("the ruling component index is 1 or 2")
-    pv, xim = _validated_ruling_input(p, xi)
-    interleave = which == 2
+    sigma = sigma1 if which == 1 else sigma2
+    sigma(p, xi)
     return _multilinear_tangent(
-        lambda s, t: flatten(_segre_rows(s, (t[:4], t[4:]), interleave)), pv, flatten(xim)
+        lambda s, t: sigma(s, (t[:MATRIX_SIDE], t[MATRIX_SIDE:])).flatten(), coerce(p), flatten(map(coerce, xi))
     )
 
 
@@ -118,7 +112,7 @@ def tangent_intersection_locus(p: Sequence, q: Sequence, k: Sequence) -> LinearS
     projective P^5).
     """
     pv, qv, kv = coerce(p), coerce(q), coerce(k)
-    if len(pv) != 2 or len(qv) != 2 or len(kv) != 4:
+    if len(pv) != 2 or len(qv) != 2 or len(kv) != MATRIX_SIDE:
         raise ValueError("expected two points of P^1 and one point of P^3")
     if is_zero_vector(pv) or is_zero_vector(qv) or is_zero_vector(kv):
         raise ValueError("projective coordinates cannot all vanish")
@@ -143,7 +137,7 @@ def verify_gradient_rank(p: Sequence, q: Sequence, k: Sequence) -> bool:
     """
     phi = rank_one_matrix(p, q, k)
     span = gradient_span(phi)
-    if span.dim() != 4:
+    if span.dim() != MATRIX_SIDE:
         return False
     locus = tangent_intersection_locus(p, q, k)
     return all(dot(g, t) == 0 for g in span.basis for t in locus.basis)
@@ -164,21 +158,21 @@ def sigma_normal_form() -> ProjMatrix:
     return sigma1(*RANK_TWO_NORMAL_FORM)
 
 
-# Gradient span at the rank-two normal form: one mixed generator
-# a_{2,0} - a_{3,1} plus six single coordinates.
+# Gradient span at the rank-two normal form, as {(i, j): coefficient of
+# a_{i,j}}: one mixed generator a_{2,0} - a_{3,1} plus six single coordinates.
 _RANK_TWO_GENERATORS = [
-    {8: 1, 13: -1},  # a_{2,0} - a_{3,1}
-    {9: 1},  # a_{2,1}
-    {10: 1},  # a_{2,2}
-    {11: 1},  # a_{2,3}
-    {12: 1},  # a_{3,0}
-    {14: 1},  # a_{3,2}
-    {15: 1},  # a_{3,3}
+    {(2, 0): 1, (3, 1): -1},
+    {(2, 1): 1},
+    {(2, 2): 1},
+    {(2, 3): 1},
+    {(3, 0): 1},
+    {(3, 2): 1},
+    {(3, 3): 1},
 ]
 
 
 def rank_two_expected_span() -> LinearSubspace:
-    vectors = [[gen.get(i, 0) for i in range(MATRIX_SPACE_DIM)] for gen in _RANK_TWO_GENERATORS]
+    vectors = [[gen.get(divmod(c, MATRIX_SIDE), 0) for c in range(MATRIX_SPACE_DIM)] for gen in _RANK_TWO_GENERATORS]
     return LinearSubspace.span(vectors, MATRIX_SPACE_DIM)
 
 
@@ -200,11 +194,11 @@ def random_pencil(rng: random.Random, target_rank: int = 2) -> Matrix:
     if target_rank not in (1, 2):
         raise ValueError("a nonzero 2x4 matrix has rank 1 or 2")
     if target_rank == 1:
-        row = random_projective_point(rng, 4)
+        row = random_projective_point(rng, MATRIX_SIDE)
         scale = rng.randint(1, 10)
         return row, tuple(scale * x for x in row)
     while True:
-        candidate = (random_projective_point(rng, 4), random_projective_point(rng, 4))
+        candidate = (random_projective_point(rng, MATRIX_SIDE), random_projective_point(rng, MATRIX_SIDE))
         if rank(candidate) == 2:
             return candidate
 
@@ -241,7 +235,7 @@ def _random_check(name: str, check, rng: random.Random, samples: int) -> CheckRe
     """Run check on seeded random points (p, q, k) of P^1 x P^1 x P^3, recording failing indices."""
     failures = []
     for index in range(samples):
-        p, q, k = (random_projective_point(rng, length) for length in (2, 2, 4))
+        p, q, k = (random_projective_point(rng, length) for length in (2, 2, MATRIX_SIDE))
         if not check(p, q, k):
             failures.append(index)
     return CheckResult(name, not failures, {"samples": samples, "failures": failures})
@@ -265,7 +259,7 @@ def run_tangent_checks(seed: int = 0, samples: int = 20) -> TangentReport:
             verify_gradient_rank(*CANONICAL_RANK_ONE),
             {
                 "gradient_span_dim": span.dim(),
-                "common_tangent_projective_dim": 15 - span.dim(),
+                "common_tangent_projective_dim": MATRIX_SPACE_DIM - 1 - span.dim(),
             },
         )
     )

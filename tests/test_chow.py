@@ -250,3 +250,18 @@ def test_truncation_soundness(a, b):
 @given(classes(P1x7), classes(P1x7))
 def test_integrate_mul_symmetric(a, b):
     assert (a * b).integrate() == (b * a).integrate()
+
+
+@pytest.mark.parametrize("coeff", [0.1, 0.5, 3.0])
+def test_float_coefficients_raise(coeff):
+    # a float has no exact value to keep: 0.1 would become 3602879701896397/2^55
+    with pytest.raises(TypeError):
+        ChowClass.monomial(P15, (2,), coeff)
+    with pytest.raises(TypeError):
+        ChowClass(P1x7, {(1, 2): coeff})
+
+
+def test_exact_coefficients_are_kept():
+    assert ChowClass.monomial(P15, (2,), 3).coefficient((2,)) == 3
+    assert ChowClass.monomial(P15, (2,), Fraction(1, 10)).coefficient((2,)) == Fraction(1, 10)
+    assert ChowClass.monomial(P15, (2,), "1/2").coefficient((2,)) == Fraction(1, 2)

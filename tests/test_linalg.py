@@ -274,3 +274,13 @@ def test_intersect_matches_sympy_and_reference(drawn):
     both = to_sympy(list(u.basis + w.basis), ncols).rank()
     assert meet.dim() == u.dim() + w.dim() - both
     assert u.contains_subspace(meet) and w.contains_subspace(meet)
+
+
+def test_det_follows_the_rref_number_rule():
+    # an integral determinant is an int, as an integral rref entry is
+    assert type(det([[2, 1], [1, 1]])) is int
+    assert type(det([[1, 2], [2, 4]])) is int
+    assert type(det([["1/2", 0], [0, 2]])) is int
+    assert type(det([["1/2", 0], [0, "1/3"]])) is Fraction
+    assert type(det([])) is int
+    assert all(type(x) is int for row in rref([["1/2", 1], [1, 2]]) for x in row)

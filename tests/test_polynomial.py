@@ -347,3 +347,16 @@ def test_polynomial_matches_generic_inversion(cls, d, data):
     else:
         poly = predegree_from_segre(n_total, d, cls, orbit_dim)
         assert poly.coeffs == tuple(expected) + (0,) * (n_total - orbit_dim)
+
+
+@pytest.mark.parametrize("ambient_dim", [1.0, 1.5, Fraction(1)])
+def test_non_index_ambient_dim_raises(ambient_dim):
+    with pytest.raises(TypeError):
+        PredegreePolynomial(ambient_dim, (1, 2, 2, 0))
+
+
+def test_int_like_ambient_dim_is_coerced():
+    poly = PredegreePolynomial(True, (1, 2, 2, 0))
+    assert poly.ambient_dim == 1 and type(poly.ambient_dim) is int
+    three = PredegreePolynomial(Count.THREE, (1,) + (0,) * 15)
+    assert type(three.ambient_dim) is int and three.transformation_space_dim == 15

@@ -265,3 +265,30 @@ def test_predegree_quadric_p3_checks_truncation_inequality(monkeypatch):
     monkeypatch.setattr(quadric, "BASE_INTERSECTION_CODIM", ORBIT_DIM_P3)
     with pytest.raises(ArithmeticError):
         predegree_quadric_p3()
+
+
+def test_int_inputs_give_int_gradients():
+    rng = random.Random(61)
+    for _ in range(20):
+        phi = ProjMatrix([[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)] + [[1, 0, 0, 0]])
+        q = tuple(rng.randint(-9, 9) for _ in range(3)) + (1,)
+        assert all(type(x) is int for x in SEGRE_QUADRIC.gradient(q))
+        assert all(type(x) is int for row in point_condition_gradient(phi, q) for x in row)
+    assert all(type(x) is int for row in SEGRE_QUADRIC.polar for x in row)
+
+
+def test_membership_matches_point_condition_vanishing_on_random_matrices():
+    # members from both rulings and generic non-members, all with Fraction entries
+    from predegree.tangent import POLARIZATION_POINTS
+
+    rng = random.Random(67)
+    outcomes = set()
+    for index in range(30):
+        if index % 3 == 2:
+            phi = ProjMatrix([random_point(rng, 4) for _ in range(4)])
+        else:
+            phi = (sigma1, sigma2)[index % 3](random_point(rng, 2), random_pencil(rng))
+        member = base_scheme_member(phi)
+        assert member == all(point_condition_value(phi, q) == 0 for q in POLARIZATION_POINTS)
+        outcomes.add(member)
+    assert outcomes == {True, False}

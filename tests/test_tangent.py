@@ -282,3 +282,18 @@ def test_random_pencil_draws_each_possible_rank():
         pencil = random_pencil(rng, target_rank)
         assert LinearSubspace.span(pencil, 4).dim() == target_rank
         assert all(any(row) for row in pencil)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize(
+    "p,xi",
+    [
+        ((1, 0), ((1, 0, 0), (0, 1, 0))),  # a 2x3 xi
+        ((1, 0), ((0, 0, 0, 0), (0, 0, 0, 0))),  # a zero xi
+        ((1, 0, 0), ((1, 0, 0, 0), (0, 1, 0, 0))),  # p of the wrong length
+        ((1, 0), ((1, 2, 3, 4, 5, 6, 7, 8),)),  # xi with the right entry count but one row
+    ],
+)
+def test_tangent_ruling_rejects_malformed_points(which, p, xi):
+    with pytest.raises(ValueError):
+        tangent_ruling_component(which, p, xi)
