@@ -7,9 +7,9 @@ coefficient.  Terms are checked once, at the public constructor ``ChowClass(...)
 exponents pass ``operator.index`` (a float or ``Fraction`` raises TypeError), a wrong
 length, then a negative exponent, raises ValueError, and a term past the truncation is
 dropped.  Results the package builds are not re-checked: ``ChowClass._built`` only drops
-their zero terms.  An ``int`` coefficient stays an ``int``, a ``Fraction`` stays a
-``Fraction``, a float raises TypeError and anything else goes through ``Fraction``, so
-integer classes stay integer.  A class may mix codimensions, of total exponent per term.
+their zero terms.  Coefficients pass ``linalg.exact``, the package's one number rule: an
+``int`` stays an ``int`` and a ``Fraction`` a ``Fraction``, so integer classes stay integer.
+A class may mix codimensions, of total exponent per term.
 
 Values are immutable once built and every operation returns a new class, so
 everything here is safe to share between threads.
@@ -21,6 +21,8 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
+
+from .linalg import exact
 
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction
@@ -66,10 +68,7 @@ def _normalize(ambient: ProductSpace, items: Iterable[tuple[Exponents, Coefficie
         if any(map(operator.gt, exps, dims)):
             # h_i^{n_i+1} = 0, so the monomial vanishes in the quotient.
             continue
-        if not isinstance(coeff, (int, Fraction)):
-            if isinstance(coeff, float):
-                raise TypeError("a float coefficient is inexact: pass an int, a Fraction or a string such as '1/2'")
-            coeff = Fraction(coeff)
+        coeff = exact(coeff)
         total = terms.get(exps, 0) + coeff
         if total:
             terms[exps] = total

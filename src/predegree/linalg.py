@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of rationals and matrices are tuples of such row vectors.
-An ``int`` entry stays an ``int`` and anything else (``str``, ``Fraction``)
-is a ``Fraction``: ``coerce`` applies this rule to inputs and ``ratio`` to
-computed quotients, so integer inputs stay integer to the answer.  One
+``exact`` is the package's one rule for a number from outside: an ``int`` or
+``Fraction`` is kept, a float raises TypeError and anything else (``str``) goes
+through ``Fraction``.  ``coerce`` applies it to inputs and ``ratio`` to computed
+quotients, so integer inputs stay integer to the answer.  One
 fraction-free integer elimination does every reduction: each row is coerced
 and cleared of denominators once, and rref, rank, det, subspace membership and
 (Zassenhaus) intersection all read their answer off it.  There is no floating
@@ -22,9 +23,16 @@ Vector = tuple[Rational, ...]
 Matrix = tuple[Vector, ...]
 
 
+def exact(x) -> Rational:
+    """An exact rational: an int or Fraction is kept, a float raises TypeError, anything else goes through Fraction."""
+    if isinstance(x, float):
+        raise TypeError(f"the float {x!r} is inexact: pass an int, a Fraction or a string such as '1/2'")
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def coerce(entries: Iterable) -> Vector:
-    """A vector of rationals: an int or Fraction entry is kept, anything else goes through Fraction."""
-    return tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in entries)
+    """A vector of rationals, each entry through ``exact``."""
+    return tuple(x if isinstance(x, (int, Fraction)) else exact(x) for x in entries)
 
 
 def vec(entries: Iterable) -> tuple[Fraction, ...]:
@@ -63,7 +71,7 @@ def outer(u: Sequence[Rational], v: Sequence[Rational]) -> Matrix:
     return tuple(tuple(x * y for y in v) for x in u)
 
 
-def ratio(numerator: int, denominator: int) -> Rational:
+def ratio(numerator: Rational, denominator: int) -> Rational:
     """numerator / denominator: an int when the division is exact, else a Fraction."""
     return numerator // denominator if numerator % denominator == 0 else Fraction(numerator, denominator)
 

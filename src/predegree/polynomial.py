@@ -121,6 +121,7 @@ def _coefficients(n_total: int, d: int, segre_class: ChowClass | None, indices) 
     by the hockey-stick identity, into a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j
     over the nonzero terms s_j only.  Raises ValueError for a degree d < 1.
     """
+    n_total, d = index(n_total), index(d)
     if d < 1:
         raise ValueError("the hypersurface degree d must be at least 1")
     if segre_class is not None and segre_class.ambient.factor_dims != (n_total,):
@@ -142,6 +143,7 @@ def predegree_coefficient(ambient_total_dim: int, d: int, segre_class: ChowClass
     Evaluates the degree of H^{N-i} (1 - dH)^{-1} ([P^N] - S twisted by O(-d))
     for d >= 1 and insists on an integer result.
     """
+    i = index(i)
     if not 0 <= i <= ambient_total_dim:
         raise ValueError("coefficient index out of range")
     return _coefficients(ambient_total_dim, d, segre_class, [i])[0]
@@ -198,6 +200,7 @@ def deg_po(m: int) -> int:
 
 def fano_dim(n: int, k: int) -> int:
     """Dimension of the family of k-planes on a smooth quadric in P^n."""
+    n, k = index(n), index(k)
     if n < 1:
         raise ValueError("the quadric must live in P^n with n >= 1")
     if not 0 <= k <= (n - 1) // 2:
@@ -210,9 +213,7 @@ def max_component_dim(n: int) -> int:
     """Maximal dimension of a component of the base locus for a quadric in P^n.
 
     The largest component fibers the k-planes on the quadric, k = floor((n-1)/2),
-    over the matrices with image inside a fixed k-plane.
+    over the matrices with image inside a fixed k-plane; n is checked by fano_dim.
     """
-    if n < 1:
-        raise ValueError("the quadric must live in P^n with n >= 1")
     k = (n - 1) // 2
     return fano_dim(n, k) + (n + 1) * (k + 1) - 1

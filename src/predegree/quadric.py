@@ -48,6 +48,15 @@ def _square_matrix(entries: Sequence[Sequence]) -> Matrix:
     return rows
 
 
+def projective_point(coords: Sequence, length: int) -> Vector:
+    """The coordinates of a point of P^(length - 1), coerced; a wrong length or the zero vector raises ValueError."""
+    v = coerce(coords)
+    if len(v) != length or is_zero_vector(v):
+        point = "(" + " : ".join(map(str, v)) + ")"
+        raise ValueError(f"{point} is not a point of P^{length - 1}: expected {length} coordinates, not all zero")
+    return v
+
+
 @dataclass(frozen=True)
 class ProjMatrix:
     """A point of the P^15 of 4x4 matrices: nonzero entries up to scale."""
@@ -56,15 +65,11 @@ class ProjMatrix:
 
     def __post_init__(self):
         rows = _square_matrix(self.entries)
-        if all(is_zero_vector(r) for r in rows):
-            raise ValueError("the zero matrix is not a projective point")
+        projective_point(flatten(rows), MATRIX_SIDE ** 2)
         object.__setattr__(self, "entries", rows)
 
     @classmethod
     def from_flat(cls, values: Sequence) -> "ProjMatrix":
-        values = coerce(values)
-        if len(values) != MATRIX_SIDE ** 2:
-            raise ValueError(f"expected {MATRIX_SIDE ** 2} entries in row-major order")
         return cls(tuple(values[i : i + MATRIX_SIDE] for i in range(0, len(values), MATRIX_SIDE)))
 
     def flatten(self) -> Vector:
@@ -90,7 +95,8 @@ class QuadricGram:
     """Symmetric Gram matrix M of a quadratic form f(x) = x^T M x.
 
     ``polar`` is 2M, the matrix of the polar form f(x + y) - f(x) - f(y), with
-    ints where integral: for x0*x3 - x1*x2 gradients and composites stay int.
+    ints where integral: values, gradients and composites read it, so for
+    x0*x3 - x1*x2 they stay int.  M is only checked (symmetric and smooth).
     """
 
     entries: Matrix
@@ -108,7 +114,7 @@ class QuadricGram:
 
     def value(self, point: Sequence) -> Rational:
         v = coerce(point)
-        return dot(v, mat_vec(self.entries, v))
+        return ratio(dot(v, mat_vec(self.polar, v)), 2)
 
     def gradient(self, point: Sequence) -> Vector:
         """Gradient of the quadratic form: 2 M x."""
@@ -126,13 +132,6 @@ SEGRE_QUADRIC = QuadricGram(
 )
 
 
-def _nonzero_point(point: Sequence) -> Vector:
-    q = coerce(point)
-    if is_zero_vector(q):
-        raise ValueError("the point of P^3 must be nonzero")
-    return q
-
-
 def point_condition_value(phi: ProjMatrix, point: Sequence, gram: QuadricGram = SEGRE_QUADRIC) -> Rational:
     """Value at phi of the point condition attached to a point q.
 
@@ -140,7 +139,7 @@ def point_condition_value(phi: ProjMatrix, point: Sequence, gram: QuadricGram = 
     f(psi(q)) = 0; the returned representative is f(phi(q)), well defined up
     to squared rescalings of phi and q.
     """
-    return gram.value(phi.apply(_nonzero_point(point)))
+    return gram.value(phi.apply(projective_point(point, MATRIX_SIDE)))
 
 
 def point_condition_gradient(phi: ProjMatrix, point: Sequence, gram: QuadricGram = SEGRE_QUADRIC) -> Matrix:
@@ -149,20 +148,17 @@ def point_condition_gradient(phi: ProjMatrix, point: Sequence, gram: QuadricGram
     Equals 2 (M phi q) q^T; pairing it entrywise with psi gives the
     directional derivative grad f(phi q) . (psi q).
     """
-    q = _nonzero_point(point)
+    q = projective_point(point, MATRIX_SIDE)
     return outer(gram.gradient(phi.apply(q)), q)
 
 
 def _ruling(second: bool, p: Sequence, xi: Sequence[Sequence]) -> ProjMatrix:
     """The bilinear ruling map: rows p_a * xi_b, ordered by (a, b), or by (b, a) for the second ruling."""
-    pv = coerce(p)
+    pv = projective_point(p, 2)
     xim = tuple(map(coerce, xi))
-    if len(pv) != 2:
-        raise ValueError("expected a point of P^1 (two coordinates)")
     if len(xim) != 2 or any(len(r) != MATRIX_SIDE for r in xim):
         raise ValueError(f"expected a 2x{MATRIX_SIDE} matrix for the P^7 factor")
-    if is_zero_vector(pv) or all(is_zero_vector(r) for r in xim):
-        raise ValueError("projective coordinates cannot all vanish")
+    projective_point(flatten(xim), 2 * MATRIX_SIDE)
     order = [(a, b) for b in range(2) for a in range(2)] if second else [(a, b) for a in range(2) for b in range(2)]
     return ProjMatrix(tuple(tuple(pv[a] * t for t in xim[b]) for a, b in order))
 
@@ -240,8 +236,6 @@ def table1_row(n: int) -> Table1Row:
     locus; the top coefficient is the degree of the stabilizer closure.  For
     n = 3 the full polynomial is filled in from the pipeline.
     """
-    if n < 1:
-        raise ValueError("the quadric must live in P^n with n >= 1")
     space_dim = (n + 1) * (n + 2) // 2 - 1
     base_dim = max_component_dim(n)
     orbit_dim = space_dim

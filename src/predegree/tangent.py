@@ -14,14 +14,16 @@ MATRIX_SIDE * i + j of a vector of length MATRIX_SPACE_DIM = MATRIX_SIDE ** 2.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import LinearSubspace, Matrix, Vector, coerce, dot, flatten, is_zero_vector, outer, rank
-from .quadric import MATRIX_SIDE, SEGRE_QUADRIC, ProjMatrix, QuadricGram, point_condition_gradient, sigma1, sigma2
+from .linalg import LinearSubspace, Matrix, Vector, coerce, dot, flatten, outer, rank
+from .quadric import MATRIX_SIDE, SEGRE_QUADRIC, ProjMatrix, QuadricGram, point_condition_gradient, projective_point
+from .quadric import sigma1, sigma2
 
 
 def _unit(length: int, index: int) -> Vector:
@@ -85,22 +87,20 @@ def quadric_point(p: Sequence, q: Sequence) -> Vector:
     Coordinate ordering (p0*q0 : p1*q0 : p0*q1 : p1*q1); the image satisfies
     x0*x3 - x1*x2 = 0.
     """
-    p0, p1 = coerce(p)
-    q0, q1 = coerce(q)
+    p0, p1 = projective_point(p, 2)
+    q0, q1 = projective_point(q, 2)
     return (p0 * q0, p1 * q0, p0 * q1, p1 * q1)
 
 
 def rank_one_matrix(p: Sequence, q: Sequence, k: Sequence) -> ProjMatrix:
     """Rank-one matrix with image the quadric point of (p, q) and kernel the
     plane annihilated by k."""
-    return ProjMatrix(outer(quadric_point(p, q), coerce(k)))
+    return ProjMatrix(outer(quadric_point(p, q), projective_point(k, MATRIX_SIDE)))
 
 
 def pencil_matrix(a: Sequence, k: Sequence) -> Matrix:
     """The 2x4 matrix a k^T, the P^7 coordinate of a rank-one intersection point."""
-    a0, a1 = coerce(a)
-    kv = coerce(k)
-    return (tuple(a0 * x for x in kv), tuple(a1 * x for x in kv))
+    return outer(projective_point(a, 2), projective_point(k, MATRIX_SIDE))
 
 
 def tangent_intersection_locus(p: Sequence, q: Sequence, k: Sequence) -> LinearSubspace:
@@ -111,11 +111,7 @@ def tangent_intersection_locus(p: Sequence, q: Sequence, k: Sequence) -> LinearS
     the lifts of all coordinate directions and has linear dimension 6 (a
     projective P^5).
     """
-    pv, qv, kv = coerce(p), coerce(q), coerce(k)
-    if len(pv) != 2 or len(qv) != 2 or len(kv) != MATRIX_SIDE:
-        raise ValueError("expected two points of P^1 and one point of P^3")
-    if is_zero_vector(pv) or is_zero_vector(qv) or is_zero_vector(kv):
-        raise ValueError("projective coordinates cannot all vanish")
+    pv, qv, kv = projective_point(p, 2), projective_point(q, 2), projective_point(k, MATRIX_SIDE)
     return _multilinear_tangent(lambda a, b, c: flatten(outer(quadric_point(a, b), c)), pv, qv, kv)
 
 
@@ -182,6 +178,8 @@ def rank_two_expected_span() -> LinearSubspace:
 def random_projective_point(rng: random.Random, length: int) -> Vector:
     """Nonzero point with coordinates a/b, -10 <= a <= 10 and 1 <= b <= 10,
     returned as ints: the point times the lcm of its reduced denominators."""
+    if operator.index(length) < 1:
+        raise ValueError("a projective point needs at least one coordinate")
     while True:
         draws = [(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(length)]
         if any(a for a, _ in draws):

@@ -284,3 +284,18 @@ def test_det_follows_the_rref_number_rule():
     assert type(det([["1/2", 0], [0, "1/3"]])) is Fraction
     assert type(det([])) is int
     assert all(type(x) is int for row in rref([["1/2", 1], [1, 2]]) for x in row)
+
+
+def test_exact_keeps_exact_numbers_and_refuses_floats():
+    from decimal import Decimal
+
+    from predegree.linalg import coerce, exact
+
+    assert type(exact(3)) is int
+    assert type(exact(Fraction(1, 2))) is Fraction
+    assert exact("1/2") == Fraction(1, 2) and exact(Decimal("0.1")) == Fraction(1, 10)
+    for value in (0.1, 2.0, float("nan")):
+        with pytest.raises(TypeError, match="inexact"):
+            exact(value)
+        with pytest.raises(TypeError, match="inexact"):
+            coerce([1, value])

@@ -23,6 +23,7 @@ from predegree.polynomial import (
     tensor_class,
 )
 from predegree.quadric import doubled_ruling_segre_class
+from predegree.quadric import table1_row
 
 P15 = ProductSpace((15,))
 
@@ -360,3 +361,31 @@ def test_int_like_ambient_dim_is_coerced():
     assert poly.ambient_dim == 1 and type(poly.ambient_dim) is int
     three = PredegreePolynomial(Count.THREE, (1,) + (0,) * 15)
     assert type(three.ambient_dim) is int and three.transformation_space_dim == 15
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: predegree_coefficient(15, 2.0, None, 3),
+        lambda: predegree_coefficient(15, 2, None, 3.0),
+        lambda: predegree_coefficient(15.0, 2, None, 3),
+        lambda: predegree_coefficient(15, Fraction(2), None, 3),
+        lambda: predegree_from_segre(15, 2.0, None, 9),
+        lambda: predegree_from_segre(15, 2, None, 9.0),
+        lambda: fano_dim(3, 1.0),
+    ],
+    ids=["d", "i", "ambient_total_dim", "fraction d", "from_segre d", "orbit_dim", "fano_dim k"],
+)
+def test_non_integral_sizes_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call", [lambda n: fano_dim(n, 0), max_component_dim, table1_row], ids=["fano_dim", "max_component_dim", "table1_row"]
+)
+def test_quadric_ambient_dim_is_checked_once(call):
+    with pytest.raises(TypeError):
+        call(3.0)
+    with pytest.raises(ValueError, match="n >= 1"):
+        call(0)

@@ -292,3 +292,29 @@ def test_membership_matches_point_condition_vanishing_on_random_matrices():
         assert member == all(point_condition_value(phi, q) == 0 for q in POLARIZATION_POINTS)
         outcomes.add(member)
     assert outcomes == {True, False}
+
+
+def test_value_reads_the_polar_matrix():
+    from predegree.linalg import det
+
+    assert type(SEGRE_QUADRIC.value((1, 1, 1, 1))) is int
+    assert type(point_condition_value(IDENTITY, (1, 0, 0, 1))) is int
+    rng = random.Random(71)
+    for _ in range(20):
+        m = [[random_fraction(rng) for _ in range(4)] for _ in range(4)]
+        gram = [[m[i][j] + m[j][i] for j in range(4)] for i in range(4)]
+        if det(gram) == 0:
+            continue
+        x = random_point(rng, 4)
+        expected = sum(gram[i][j] * x[i] * x[j] for i in range(4) for j in range(4))
+        assert QuadricGram(gram).value(x) == expected
+    half = QuadricGram([[Fraction(1, 2), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert half.value((1, 0, 0, 0)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("point", [(1, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 0)])
+def test_point_conditions_need_a_point_of_p3(point):
+    with pytest.raises(ValueError, match=r"is not a point of P\^3"):
+        point_condition_value(IDENTITY, point)
+    with pytest.raises(ValueError, match=r"is not a point of P\^3"):
+        point_condition_gradient(IDENTITY, point)

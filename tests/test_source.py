@@ -53,3 +53,13 @@ def test_package_imports_only_stdlib():
             f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in sys.stdlib_module_names
         ]
     assert offenders == []
+
+
+def test_float_is_named_only_in_linalg():
+    # One number rule: linalg.exact alone decides what a float input means.
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name, node in package_nodes()
+        if isinstance(node, ast.Name) and node.id == "float" and name != "linalg.py"
+    ]
+    assert offenders == []

@@ -5,6 +5,8 @@ import pytest
 
 from predegree.linalg import LinearSubspace, dot, flatten
 from predegree.quadric import ProjMatrix, point_condition_gradient, sigma1, sigma2
+from predegree.linalg import det, rref
+from predegree.quadric import QuadricGram, point_condition_value
 from predegree.tangent import (
     CANONICAL_INTERSECTION,
     CANONICAL_RANK_ONE,
@@ -297,3 +299,46 @@ def test_random_pencil_draws_each_possible_rank():
 def test_tangent_ruling_rejects_malformed_points(which, p, xi):
     with pytest.raises(ValueError):
         tangent_ruling_component(which, p, xi)
+
+
+# -- one number rule and one point check at the boundary -----------------------
+
+ROWS_WITH_A_FLOAT = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0.5]]
+FLOAT_INPUTS = {
+    "ProjMatrix": lambda: ProjMatrix(ROWS_WITH_A_FLOAT),
+    "from_flat": lambda: ProjMatrix.from_flat([0.5] + [0] * 15),
+    "QuadricGram": lambda: QuadricGram(ROWS_WITH_A_FLOAT),
+    "rref": lambda: rref([[1, 0.1]]),
+    "det": lambda: det([[1, 0], [0, 0.1]]),
+    "LinearSubspace.span": lambda: LinearSubspace.span([[1, 0.1]]),
+    "point_condition_value": lambda: point_condition_value(IDENTITY, (1, 0, 0, 0.1)),
+    "sigma1": lambda: sigma1((1, 0.5), ((1, 0, 0, 0), (0, 1, 0, 0))),
+    "tangent_intersection_locus": lambda: tangent_intersection_locus((1, 0), (0, 1), (0, 0, 1, 0.1)),
+}
+
+
+@pytest.mark.parametrize("build", FLOAT_INPUTS.values(), ids=FLOAT_INPUTS.keys())
+def test_float_inputs_raise_type_error(build):
+    # 0.1 has no exact value to keep: Fraction(0.1) is 3602879701896397/2^55
+    with pytest.raises(TypeError, match="inexact"):
+        build()
+
+
+def test_p1_arguments_are_checked_as_points():
+    with pytest.raises(ValueError, match=r"\(1 : 2 : 3\) is not a point of P\^1"):
+        quadric_point((1, 2, 3), (1, 0))
+    with pytest.raises(ValueError, match=r"\(0 : 0\) is not a point of P\^1"):
+        pencil_matrix((0, 0), (1, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"is not a point of P\^3"):
+        pencil_matrix((1, 0), (1, 0, 0))
+    assert pencil_matrix((1, 2), (1, 0, 0, 3)) == ((1, 0, 0, 3), (2, 0, 0, 6))
+
+
+@pytest.mark.parametrize("length", [0, -1])
+def test_random_projective_point_rejects_empty_lengths_before_drawing(length):
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        random_projective_point(rng, length)
+    assert rng.getstate() == random.Random(0).getstate()
+    with pytest.raises(TypeError):
+        random_projective_point(rng, 2.0)
