@@ -111,6 +111,7 @@ class ChowClass:
     @classmethod
     def hyperplane(cls, ambient: ProductSpace, index: int = 0) -> "ChowClass":
         """The class h_index pulled back from the chosen factor."""
+        index = operator.index(index)
         if not 0 <= index < ambient.num_factors:
             raise ValueError("factor index out of range")
         exps = tuple(1 if i == index else 0 for i in range(ambient.num_factors))
@@ -187,7 +188,8 @@ class ChowClass:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ChowClass":
-        if not isinstance(n, int) or n < 0:
+        n = operator.index(n)
+        if n < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = ChowClass.one(self.ambient)
         base = self
@@ -220,6 +222,7 @@ class ChowClass:
 
     def codim_part(self, j: int) -> "ChowClass":
         """The piece of the class in codimension j (total exponent j)."""
+        j = operator.index(j)
         if not 0 <= j <= self.ambient.total_dim:
             raise ValueError("codimension out of range for the ambient space")
         return ChowClass._built(self.ambient, [(e, c) for e, c in self.terms.items() if sum(e) == j])

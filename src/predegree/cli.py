@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Every subcommand has a plain-text mode and a --json mode reporting the same
-numbers.  JSON payloads are {"command": ..., "inputs": {...}, "result": {...}}
-with integers as JSON numbers when they fit in 64 bits (decimal strings
-otherwise) and rationals always as exact "p/q" strings.
+Each cmd_* function returns (inputs, result, text).  main prints the text, or
+under --json the payload {"command": ..., "inputs": {...}, "result": {...}};
+verify has no text and always prints the payload.  Integers are JSON numbers
+when they fit in 64 bits (decimal strings otherwise) and rationals always
+exact "p/q" strings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 integrality failure.
@@ -20,7 +21,7 @@ from math import prod
 from . import segre
 from .chow import ProductSpace
 from .polynomial import IntegralityError, deg_po, deg_so, predegree_coefficient
-from .quadric import ProjMatrix, base_scheme_member, predegree_quadric_p3, table1_row, table2
+from .quadric import ProjMatrix, base_scheme_member, table1_row, table2
 from .tangent import run_tangent_checks
 
 EXIT_OK = 0
@@ -41,17 +42,19 @@ MAX_TANGENT_SAMPLES = 1000
 # a_i has about i * log10(d) digits: the largest answer within both limits has 766.
 MAX_COEFF_DEGREE = 1000
 
+# What every cmd_* returns: (inputs, result, text); text is None where the command prints only JSON.
+Outcome = tuple[dict, dict, str | None]
+
 
 def json_int(value: int):
     """Integers as JSON numbers while they fit in 64 bits, else strings."""
     return value if -_INT64_MAX - 1 <= value <= _INT64_MAX else str(value)
 
 
-def emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+def check_limit(label: str, value: int, limit: int) -> None:
+    """The one rule for user sizes: past its limit, a value is a usage error (exit 2)."""
+    if value > limit:
+        raise ValueError(f"{label} {value} exceeds the limit of {limit}")
 
 
 def parse_int_list(raw: str) -> list[int]:
@@ -68,11 +71,10 @@ def parse_rational_list(raw: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {raw!r}") from exc
 
 
-def _segre_space(factors: list[int]) -> ProductSpace:
+def _segre_space(flag: str, factors: list[int]) -> ProductSpace:
     space = ProductSpace(tuple(factors))
     box = prod(n + 1 for n in space.factor_dims)
-    if box > MAX_SEGRE_BOX:
-        raise ValueError(f"the Segre factor box prod(n_i + 1) = {box} exceeds the limit of {MAX_SEGRE_BOX}")
+    check_limit(f"{flag} {','.join(map(str, factors))}: the factor box prod(n_i + 1) =", box, MAX_SEGRE_BOX)
     return space
 
 
@@ -85,41 +87,26 @@ def _row_result(row) -> dict:
     }
 
 
-def cmd_predegree(args) -> int:
-    if args.n + 1 > MAX_GROUP_M:
-        raise ValueError(f"--n {args.n} needs deg PO({args.n + 1}), past the group size limit of {MAX_GROUP_M}")
+def cmd_predegree(args) -> Outcome:
+    check_limit(f"--n {args.n}: the group size n + 1 =", args.n + 1, MAX_GROUP_M)
     row = table1_row(args.n)
-    payload = {"command": "predegree", "inputs": {"target": "quadric", "n": args.n}, "result": _row_result(row)}
-    emit(args, payload, row.polynomial_string())
-    return EXIT_OK
+    return {"target": "quadric", "n": args.n}, _row_result(row), row.polynomial_string()
 
 
-def cmd_segre_class(args) -> int:
-    space = _segre_space(args.factors)
+def cmd_segre_class(args) -> Outcome:
+    space = _segre_space("--factors", args.factors)
     cls = segre.segre_class_pushforward(space)
-    payload = {
-        "command": "segre-class",
-        "inputs": {"factors": list(space.factor_dims)},
-        "result": {"ambient_dim": segre.ambient_dim(space), "terms": cls.to_records()},
-    }
-    emit(args, payload, str(cls))
-    return EXIT_OK
+    result = {"ambient_dim": segre.ambient_dim(space), "terms": cls.to_records()}
+    return {"factors": list(space.factor_dims)}, result, str(cls)
 
 
-def cmd_group_degree(args, name: str) -> int:
-    if args.m > MAX_GROUP_M:
-        raise ValueError(f"the group size m = {args.m} exceeds the limit of {MAX_GROUP_M}")
-    value = deg_so(args.m) if name == "deg-so" else deg_po(args.m)
-    payload = {
-        "command": name,
-        "inputs": {"m": args.m},
-        "result": {"degree": json_int(value)},
-    }
-    emit(args, payload, str(value))
-    return EXIT_OK
+def cmd_group_degree(args) -> Outcome:
+    check_limit("--m", args.m, MAX_GROUP_M)
+    value = deg_so(args.m) if args.command == "deg-so" else deg_po(args.m)
+    return {"m": args.m}, {"degree": json_int(value)}, str(value)
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> Outcome:
     if args.which == 1:
         table = [table1_row(n) for n in range(1, 5)]
         rows = [{"n": r.n, **_row_result(r)} for r in table]
@@ -132,56 +119,31 @@ def cmd_table(args) -> int:
         table = table2()
         rows = [{"dim_l": d, "count": json_int(c)} for d, c in table]
         text = "\n".join(f"dim L = {d}: {c}" for d, c in table)
-    emit(args, {"command": "table", "inputs": {"which": args.which}, "result": {"rows": rows}}, text)
-    return EXIT_OK
+    return {"which": args.which}, {"rows": rows}, text
 
 
-def cmd_verify(args) -> int:
-    if args.samples > MAX_TANGENT_SAMPLES:
-        raise ValueError(f"--samples {args.samples} exceeds the limit of {MAX_TANGENT_SAMPLES}")
+def cmd_verify(args) -> Outcome:
+    check_limit("--samples", args.samples, MAX_TANGENT_SAMPLES)
     report = run_tangent_checks(seed=args.seed, samples=args.samples)
-    payload = {
-        "command": "verify",
-        "inputs": {"what": "tangents", "seed": args.seed, "samples": args.samples},
-        "result": report.to_payload(),
-    }
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK if report.all_passed else EXIT_VERIFICATION
+    return {"what": "tangents", "seed": args.seed, "samples": args.samples}, report.to_payload(), None
 
 
-def cmd_member(args) -> int:
+def cmd_member(args) -> Outcome:
     phi = ProjMatrix.from_flat(args.matrix)
     member = base_scheme_member(phi)
-    payload = {
-        "command": "member",
-        "inputs": {"matrix": [str(x) for x in args.matrix]},
-        "result": {"member": member},
-    }
-    emit(args, payload, "true" if member else "false")
-    return EXIT_OK
+    return {"matrix": [str(x) for x in args.matrix]}, {"member": member}, "true" if member else "false"
 
 
-def cmd_coeff(args) -> int:
-    space = _segre_space(args.segre_factors)
-    if args.d > MAX_COEFF_DEGREE:
-        raise ValueError(f"--d {args.d} exceeds the limit of {MAX_COEFF_DEGREE}")
+def cmd_coeff(args) -> Outcome:
+    space = _segre_space("--segre-factors", args.segre_factors)
+    check_limit("--d", args.d, MAX_COEFF_DEGREE)
     cls = segre.segre_class_pushforward(space)
     if args.double:
         cls = 2 * cls
     ambient = segre.ambient_dim(space)
     value = predegree_coefficient(ambient, args.d, cls, args.i)
-    payload = {
-        "command": "coeff",
-        "inputs": {
-            "i": args.i,
-            "d": args.d,
-            "segre_factors": list(space.factor_dims),
-            "double": args.double,
-        },
-        "result": {"coefficient": json_int(value)},
-    }
-    emit(args, payload, str(value))
-    return EXIT_OK
+    inputs = {"i": args.i, "d": args.d, "segre_factors": list(space.factor_dims), "double": args.double}
+    return inputs, {"coefficient": json_int(value)}, str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,24 +157,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=["quadric"])
     p.add_argument("--n", type=int, required=True,
                    help=f"dimension of the ambient P^n, at most {MAX_GROUP_M - 1}")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_predegree)
 
     p = sub.add_parser("segre-class", help="pushed-forward Segre class of a Segre embedding")
     p.add_argument("--factors", type=parse_int_list, required=True, metavar="n1,n2,...",
                    help=f"factor dimensions, with prod(n_i + 1) at most {MAX_SEGRE_BOX}")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_segre_class)
 
     for name in ("deg-so", "deg-po"):
         p = sub.add_parser(name, help=f"degree of the closure of {name.split('-')[1].upper()}(m)")
         p.add_argument("--m", type=int, required=True, help=f"group size, at most {MAX_GROUP_M}")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=lambda args, name=name: cmd_group_degree(args, name))
+        p.set_defaults(func=cmd_group_degree)
 
     p = sub.add_parser("table", help="summary tables for smooth quadrics")
     p.add_argument("--which", type=int, choices=[1, 2], required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="exact tangent-space verification")
@@ -223,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("member", help="membership of a matrix in the base locus")
     p.add_argument("--matrix", type=parse_rational_list, required=True, metavar="r0c0,...,r3c3")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("coeff", help="single predegree coefficient from a Segre class")
@@ -232,23 +189,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segre-factors", type=parse_int_list, default=[1, 7], metavar="n1,n2,...",
                    help=f"Segre factor dimensions, with prod(n_i + 1) at most {MAX_SEGRE_BOX}")
     p.add_argument("--double", action="store_true", help="use twice the Segre class")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_coeff)
 
+    # Last, so that [--json] ends each usage line; verify always prints JSON.
+    for name, p in sub.choices.items():
+        if name != "verify":
+            p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        inputs, result, text = args.func(args)
     except IntegralityError as exc:
         print(f"internal integrality failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRALITY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if text is None or args.json:
+        print(json.dumps({"command": args.command, "inputs": inputs, "result": result}, indent=2))
+    else:
+        print(text)
+    # Only a tangent report carries all_passed.
+    return EXIT_OK if result.get("all_passed", True) else EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ point and no tolerance anywhere in the package.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -36,8 +37,8 @@ def coerce(entries: Iterable) -> Vector:
 
 
 def vec(entries: Iterable) -> tuple[Fraction, ...]:
-    """Coerce an iterable of rationals (int, str or Fraction) to a vector of Fractions."""
-    return tuple(Fraction(x) for x in entries)
+    """A vector of Fractions, each entry through ``exact``."""
+    return tuple(Fraction(exact(x)) for x in entries)
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
@@ -182,6 +183,7 @@ class LinearSubspace:
             if not vs:
                 raise ValueError("ambient dimension required for an empty span")
             ambient_dim = len(vs[0])
+        ambient_dim = operator.index(ambient_dim)
         if any(len(v) != ambient_dim for v in vs):
             raise ValueError("vector length does not match the ambient dimension")
         return cls(ambient_dim, rref(vs))

@@ -221,10 +221,6 @@ class Table1Row:
     max_base_component_dim: int
     coeffs: tuple[int | None, ...]
 
-    @property
-    def orbit_dim(self) -> int:
-        return self.quadric_space_dim
-
     def polynomial_string(self) -> str:
         return format_polynomial(self.coeffs)
 

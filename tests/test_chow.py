@@ -170,6 +170,30 @@ def test_non_integral_exponents_raise(exps):
         ChowClass(P1x7, {exps: 3})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ChowClass.hyperplane(P1x7, 0.0),
+        lambda: H().codim_part(1.0),
+        lambda: H() ** 2.0,
+        lambda: H() ** Fraction(2),
+    ],
+    ids=["hyperplane index", "codim_part j", "float exponent", "Fraction exponent"],
+)
+def test_non_integral_indices_raise(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_out_of_range_indices_still_raise_value_error():
+    with pytest.raises(ValueError, match="factor index"):
+        ChowClass.hyperplane(P1x7, 2)
+    with pytest.raises(ValueError, match="codimension"):
+        H().codim_part(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        H() ** -1
+
+
 def test_negative_exponent_raises_before_truncation():
     # 9 > 7 alone would drop the term; the negative exponent must still raise.
     with pytest.raises(ValueError, match="negative exponent"):

@@ -299,3 +299,16 @@ def test_exact_keeps_exact_numbers_and_refuses_floats():
             exact(value)
         with pytest.raises(TypeError, match="inexact"):
             coerce([1, value])
+
+
+def test_vec_and_mat_refuse_floats():
+    with pytest.raises(TypeError, match="inexact"):
+        vec([0.1])
+    with pytest.raises(TypeError, match="inexact"):
+        mat([[0.5]])
+
+
+def test_span_needs_an_integral_ambient_dim():
+    with pytest.raises(TypeError):
+        LinearSubspace.span([[1, 0]], 2.0)
+    assert LinearSubspace.span([], 2).ambient_dim == 2

@@ -63,3 +63,20 @@ def test_float_is_named_only_in_linalg():
         if isinstance(node, ast.Name) and node.id == "float" and name != "linalg.py"
     ]
     assert offenders == []
+
+
+def test_package_modules_use_every_import():
+    # A name a module imports and never reads is dead code; __init__.py re-exports on purpose.
+    offenders = []
+    for path in sorted(Path(predegree.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
