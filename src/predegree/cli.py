@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import prod
 
 from . import segre
 from .chow import ProductSpace
@@ -73,7 +72,7 @@ def parse_rational_list(raw: str) -> list[Fraction]:
 
 def _segre_space(flag: str, factors: list[int]) -> ProductSpace:
     space = ProductSpace(tuple(factors))
-    box = prod(n + 1 for n in space.factor_dims)
+    box = segre.ambient_dim(space) + 1
     check_limit(f"{flag} {','.join(map(str, factors))}: the factor box prod(n_i + 1) =", box, MAX_SEGRE_BOX)
     return space
 

@@ -36,15 +36,6 @@ def coerce(entries: Iterable) -> Vector:
     return tuple(x if isinstance(x, (int, Fraction)) else exact(x) for x in entries)
 
 
-def vec(entries: Iterable) -> tuple[Fraction, ...]:
-    """A vector of Fractions, each entry through ``exact``."""
-    return tuple(Fraction(exact(x)) for x in entries)
-
-
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(vec(row) for row in rows)
-
-
 def is_zero_vector(v: Sequence[Rational]) -> bool:
     return all(x == 0 for x in v)
 
@@ -135,10 +126,11 @@ def rank(rows: Iterable[Sequence]) -> int:
 
 def nullspace(rows: Iterable[Sequence]) -> list[Vector]:
     """Basis of the right kernel {x : A x = 0}."""
-    reduced = rref(rows)
-    if not reduced:
+    m = list(rows)
+    if not m:
         raise ValueError("nullspace of an empty matrix is ambiguous")
-    ncols = len(reduced[0])
+    ncols = len(m[0])
+    reduced = rref(m)
     pivots = [next(j for j, x in enumerate(row) if x != 0) for row in reduced]
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
@@ -196,9 +188,7 @@ class LinearSubspace:
         return self.dim() - 1
 
     def contains(self, v: Sequence) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length does not match the ambient dimension")
-        return rank(self.basis + (v,)) == self.dim()
+        return self.contains_subspace(LinearSubspace.span([v], self.ambient_dim))
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
         if self.ambient_dim != other.ambient_dim:

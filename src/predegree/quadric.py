@@ -11,6 +11,7 @@ and the two summary tables.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -82,12 +83,8 @@ class ProjMatrix:
         return rank(self.entries)
 
     def proportional_to(self, other: "ProjMatrix") -> bool:
-        """Equality as points of projective space (up to a nonzero scalar)."""
-        u, v = self.flatten(), other.flatten()
-        pivot = next(i for i, x in enumerate(u) if x != 0)
-        if v[pivot] == 0:
-            return False
-        return all(a * v[pivot] == b * u[pivot] for a, b in zip(u, v))
+        """Equality as points of projective space: the two nonzero points span a line."""
+        return rank((self.flatten(), other.flatten())) == 1
 
 
 @dataclass(frozen=True)
@@ -232,6 +229,7 @@ def table1_row(n: int) -> Table1Row:
     locus; the top coefficient is the degree of the stabilizer closure.  For
     n = 3 the full polynomial is filled in from the pipeline.
     """
+    n = operator.index(n)
     space_dim = (n + 1) * (n + 2) // 2 - 1
     base_dim = max_component_dim(n)
     orbit_dim = space_dim

@@ -26,14 +26,11 @@ from .quadric import MATRIX_SIDE, SEGRE_QUADRIC, ProjMatrix, QuadricGram, point_
 from .quadric import sigma1, sigma2
 
 
-def _unit(length: int, index: int) -> Vector:
-    """The coordinate unit vector e_index, with int entries."""
-    return tuple(int(j == index) for j in range(length))
-
-
 # e_i and e_i + e_j: enough points to span every symmetric tensor q q^T.
-POLARIZATION_POINTS: tuple[Vector, ...] = tuple(_unit(MATRIX_SIDE, i) for i in range(MATRIX_SIDE)) + tuple(
-    tuple(int(c in pair) for c in range(MATRIX_SIDE)) for pair in combinations(range(MATRIX_SIDE), 2)
+POLARIZATION_POINTS: tuple[Vector, ...] = tuple(
+    tuple(int(c in subset) for c in range(MATRIX_SIDE))
+    for size in (1, 2)
+    for subset in combinations(range(MATRIX_SIDE), size)
 )
 
 MATRIX_SPACE_DIM = MATRIX_SIDE ** 2
@@ -48,7 +45,8 @@ def _multilinear_tangent(f, *args: Vector) -> LinearSubspace:
     directions = []
     for slot, arg in enumerate(args):
         for c in range(len(arg)):
-            directions.append(f(*args[:slot], _unit(len(arg), c), *args[slot + 1 :]))
+            unit = tuple(int(j == c) for j in range(len(arg)))
+            directions.append(f(*args[:slot], unit, *args[slot + 1 :]))
     return LinearSubspace.span(directions)
 
 
@@ -187,14 +185,8 @@ def random_projective_point(rng: random.Random, length: int) -> Vector:
             return tuple(a * scale // b for a, b in draws)
 
 
-def random_pencil(rng: random.Random, target_rank: int = 2) -> Matrix:
-    """Random nonzero 2x4 matrix of rank 1 (a sampled row over a multiple of it) or 2."""
-    if target_rank not in (1, 2):
-        raise ValueError("a nonzero 2x4 matrix has rank 1 or 2")
-    if target_rank == 1:
-        row = random_projective_point(rng, MATRIX_SIDE)
-        scale = rng.randint(1, 10)
-        return row, tuple(scale * x for x in row)
+def random_pencil(rng: random.Random) -> Matrix:
+    """Random 2x4 matrix of rank 2: two sampled points of P^3, redrawn until they are distinct."""
     while True:
         candidate = (random_projective_point(rng, MATRIX_SIDE), random_projective_point(rng, MATRIX_SIDE))
         if rank(candidate) == 2:
@@ -245,6 +237,7 @@ def run_tangent_checks(seed: int = 0, samples: int = 20) -> TangentReport:
     Failures report the seed so any run can be reproduced exactly.  At least
     one sample is required, so the random checks never pass vacuously.
     """
+    samples = operator.index(samples)
     if samples < 1:
         raise ValueError("the tangent checks need at least one random sample")
     rng = random.Random(seed)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from predegree import quadric
-from predegree.linalg import vec
 from predegree.polynomial import deg_po
 from predegree.quadric import (
     BASE_INTERSECTION_CODIM,
@@ -241,6 +240,12 @@ def test_table1_polynomials():
     assert row4.polynomial_string().endswith("*t^12 + *t^13 + 384t^14")
     with pytest.raises(ValueError):
         table1_row(0)
+
+
+def test_table1_row_keeps_an_int_n():
+    row = table1_row(True)
+    assert type(row.n) is int
+    assert row == table1_row(1)
 
 
 def test_table2_counts():

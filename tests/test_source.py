@@ -80,3 +80,24 @@ def test_package_modules_use_every_import():
                     if name not in used:
                         offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []
+
+
+def test_package_modules_read_every_private_name():
+    # A module-level _name is for its own module: if that module never reads it, nothing does.
+    offenders = []
+    for path in sorted(Path(predegree.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((node.name, node.lineno))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(n.id, node.lineno) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        offenders += [
+            f"{path.name}:{line} {name}"
+            for name, line in defined
+            if name.startswith("_") and not name.startswith("__") and name not in loaded
+        ]
+    assert offenders == []

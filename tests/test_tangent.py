@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from predegree import tangent
 from predegree.linalg import LinearSubspace, dot, flatten
 from predegree.quadric import ProjMatrix, point_condition_gradient, sigma1, sigma2
 from predegree.linalg import det, rref
@@ -71,7 +72,7 @@ def test_gradient_span_rank_two_random_points():
     rng = random.Random(23)
     for _ in range(10):
         p = random_projective_point(rng, 2)
-        xi = random_pencil(rng, target_rank=2)
+        xi = random_pencil(rng)
         assert gradient_span(sigma1(p, xi)).dim() == 7
         assert gradient_span(sigma2(p, xi)).dim() == 7
 
@@ -103,7 +104,7 @@ def test_tangent_ruling_dimension_and_containment():
     for index in range(20):
         p = random_projective_point(rng, 2)
         if index % 2:
-            xi = random_pencil(rng, target_rank=2)
+            xi = random_pencil(rng)
         else:
             # rank-one pencils land on the intersection of the two components
             xi = pencil_matrix(random_projective_point(rng, 2), random_projective_point(rng, 4))
@@ -245,6 +246,13 @@ def test_run_tangent_checks_passes():
     assert len(payload["checks"]) == len(report.checks)
 
 
+def test_run_tangent_checks_takes_an_integral_sample_count(monkeypatch):
+    assert run_tangent_checks(0, True).to_payload()["samples"] == 1
+    monkeypatch.setattr(tangent, "gradient_span", lambda *args: pytest.fail("a check ran before the count was checked"))
+    with pytest.raises(TypeError):
+        run_tangent_checks(0, 2.0)
+
+
 # -- the integer sampler against the Fraction sampler it replaced -------------
 
 
@@ -268,21 +276,11 @@ def test_random_projective_point_scales_the_fraction_sample_to_ints():
                 assert rng.getstate() == reference.getstate()
 
 
-@pytest.mark.parametrize("target_rank", [0, 3, -1])
-def test_random_pencil_rejects_impossible_ranks_before_drawing(target_rank):
-    # A 2x4 matrix with two nonzero rows has rank 1 or 2, so no draw can meet
-    # any other target.
-    rng = random.Random(0)
-    with pytest.raises(ValueError, match="rank 1 or 2"):
-        random_pencil(rng, target_rank)
-    assert rng.getstate() == random.Random(0).getstate()
-
-
 def test_random_pencil_draws_each_possible_rank():
     rng = random.Random(0)
-    for target_rank in (1, 2) * 20:
-        pencil = random_pencil(rng, target_rank)
-        assert LinearSubspace.span(pencil, 4).dim() == target_rank
+    for _ in range(20):
+        pencil = random_pencil(rng)
+        assert LinearSubspace.span(pencil, 4).dim() == 2
         assert all(any(row) for row in pencil)
 
 
