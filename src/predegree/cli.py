@@ -56,18 +56,18 @@ def check_limit(label: str, value: int, limit: int) -> None:
         raise ValueError(f"{label} {value} exceeds the limit of {limit}")
 
 
-def parse_int_list(raw: str) -> list[int]:
-    try:
-        return [int(part) for part in raw.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {raw!r}") from exc
+def _list_parser(convert, expected: str):
+    """An argparse type for a comma-separated list of convert(part); a bad part is a usage error."""
+    def parse(raw: str) -> list:
+        try:
+            return [convert(part) for part in raw.split(",")]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}") from exc
+    return parse
 
 
-def parse_rational_list(raw: str) -> list[Fraction]:
-    try:
-        return [Fraction(part) for part in raw.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {raw!r}") from exc
+parse_int_list = _list_parser(int, "a comma-separated integer list")
+parse_rational_list = _list_parser(Fraction, "comma-separated rationals")
 
 
 def _segre_space(flag: str, factors: list[int]) -> ProductSpace:

@@ -176,6 +176,8 @@ class LinearSubspace:
                 raise ValueError("ambient dimension required for an empty span")
             ambient_dim = len(vs[0])
         ambient_dim = operator.index(ambient_dim)
+        if ambient_dim < 0:
+            raise ValueError("the ambient dimension cannot be negative")
         if any(len(v) != ambient_dim for v in vs):
             raise ValueError("vector length does not match the ambient dimension")
         return cls(ambient_dim, rref(vs))

@@ -232,13 +232,12 @@ def table1_row(n: int) -> Table1Row:
     n = operator.index(n)
     space_dim = (n + 1) * (n + 2) // 2 - 1
     base_dim = max_component_dim(n)
-    orbit_dim = space_dim
     if n == 3:
-        coeffs = predegree_quadric_p3().coeffs[: orbit_dim + 1]
-        return Table1Row(n, space_dim, base_dim, tuple(coeffs))
-    base_codim = n * n + 2 * n - base_dim
-    coeffs = [2 ** i if i < base_codim else None for i in range(orbit_dim)]
-    coeffs.append(deg_po(n + 1))
+        coeffs = predegree_quadric_p3().coeffs[: space_dim + 1]
+    else:
+        base_codim = n * n + 2 * n - base_dim
+        coeffs = [2 ** i if i < base_codim else None for i in range(space_dim)]
+        coeffs.append(deg_po(n + 1))
     return Table1Row(n, space_dim, base_dim, tuple(coeffs))
 
 
@@ -249,11 +248,8 @@ def table2() -> list[tuple[int, int]]:
     number of translates through i general points; the top row divides out
     the stabilizer degree, with which those translates are counted.
     """
-    poly = predegree_quadric_p3()
+    *counts, top = table1_row(3).coeffs
     stabilizer_degree = deg_po(4)
-    top = poly.coeffs[ORBIT_DIM_P3]
     if top % stabilizer_degree:
         raise ArithmeticError("top coefficient is not a multiple of the stabilizer degree")
-    rows = [(i, poly.coeffs[i]) for i in range(ORBIT_DIM_P3)]
-    rows.append((ORBIT_DIM_P3, top // stabilizer_degree))
-    return rows
+    return [*enumerate(counts), (len(counts), top // stabilizer_degree)]

@@ -59,15 +59,14 @@ def pushforward_class(cls: ChowClass) -> ChowClass:
 def normal_inverse_chern(space: ProductSpace) -> ChowClass:
     """Inverse Chern class of the normal bundle to the Segre-embedded product,
     prod (1 + h_i)^{n_i + 1} / (1 + sum h_i)^{m + 1} with m the dimension of the target: the
-    series (-1)^|e| C(m + |e|, |e|) multinomial(e) over the exponent box from factorial tables,
+    series (-1)^|e| C(m + |e|, |e|) multinomial(e) over the exponent box,
     times each (1 + h_i)^{n_i + 1} in n_i + 1 passes along axis i, box * sum(n_i + 1) additions."""
     if space.num_factors < 2:
         raise ValueError("a Segre embedding needs at least two factors")
     dims, m = space.factor_dims, ambient_dim(space)
-    rising = [(-1) ** t * perm(m + t, t) for t in range(space.total_dim + 1)]
-    fact = [factorial(k) for k in range(max(dims) + 1)]
+    inverse = [(-1) ** t * comb(m + t, t) for t in range(space.total_dim + 1)]
     box = list(product(*(range(n + 1) for n in dims)))
-    series = [rising[sum(e)] // prod(map(fact.__getitem__, e)) for e in box]
+    series = [inverse[sum(e)] * multinomial(e) for e in box]
     # In lexicographic order e - u_i sits stride_i entries before e, so adding
     # it from the back of the box multiplies by 1 + h_i in place.
     stride = len(box)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
@@ -215,9 +215,7 @@ class TangentReport:
             "seed": self.seed,
             "samples": self.samples,
             "all_passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -237,7 +235,7 @@ def run_tangent_checks(seed: int = 0, samples: int = 20) -> TangentReport:
     Failures report the seed so any run can be reproduced exactly.  At least
     one sample is required, so the random checks never pass vacuously.
     """
-    samples = operator.index(samples)
+    seed, samples = operator.index(seed), operator.index(samples)
     if samples < 1:
         raise ValueError("the tangent checks need at least one random sample")
     rng = random.Random(seed)

@@ -289,3 +289,10 @@ def test_exact_coefficients_are_kept():
     assert ChowClass.monomial(P15, (2,), 3).coefficient((2,)) == 3
     assert ChowClass.monomial(P15, (2,), Fraction(1, 10)).coefficient((2,)) == Fraction(1, 10)
     assert ChowClass.monomial(P15, (2,), "1/2").coefficient((2,)) == Fraction(1, 2)
+
+
+def test_str_renders_a_coefficient_of_minus_one_as_a_sign():
+    assert str(-H()) == "-H"
+    assert str(1 - H()) == "1 - H"
+    assert str(H() - H(2)) == "H - H^2"
+    assert str(-(k(0) * k(1, 2))) == "-h1*h2^2"

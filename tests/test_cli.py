@@ -152,6 +152,29 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["result"]["all_passed"] is False
 
 
+def test_failing_battery_exits_with_its_payload(capsys, monkeypatch):
+    from predegree import tangent
+
+    calls = []
+
+    def check(p, q, k):
+        # fail the canonical point (call 1) and the third random sample (call 4)
+        calls.append((p, q, k))
+        return len(calls) not in (1, 4)
+
+    monkeypatch.setattr(tangent, "verify_tangent_intersection", check)
+    code, out, _ = run_cli(capsys, "verify", "tangents", "--seed", "5", "--samples", "3")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["inputs"] == {"what": "tangents", "seed": 5, "samples": 3}
+    failed = {c["name"]: c["detail"] for c in payload["result"]["checks"] if not c["passed"]}
+    assert failed == {
+        "tangent-intersection-canonical": {},
+        "tangent-intersection-random": {"samples": 3, "failures": [2]},
+    }
+    assert payload["result"]["all_passed"] is False
+
+
 def test_usage_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["predegree", "quadric"])  # missing --n

@@ -296,3 +296,24 @@ def test_span_needs_an_integral_ambient_dim():
     with pytest.raises(TypeError):
         LinearSubspace.span([[1, 0]], 2.0)
     assert LinearSubspace.span([], 2).ambient_dim == 2
+
+
+def test_rows_of_unequal_length_raise():
+    for reduce in (rref, rank):
+        with pytest.raises(ValueError, match="unequal length"):
+            reduce([[1, 2], [3]])
+
+
+def test_intersect_needs_the_same_ambient():
+    plane = LinearSubspace.span([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        plane.intersect(LinearSubspace.span([[1, 0]]))
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        LinearSubspace.span([], 2).intersect(plane)
+
+
+def test_span_needs_a_non_negative_ambient_dim():
+    with pytest.raises(ValueError, match="cannot be negative"):
+        LinearSubspace.span([], -1)
+    empty = LinearSubspace.span([], 0)
+    assert (empty.ambient_dim, empty.basis) == (0, ())

@@ -389,3 +389,34 @@ def test_quadric_ambient_dim_is_checked_once(call):
         call(3.0)
     with pytest.raises(ValueError, match="n >= 1"):
         call(0)
+
+
+# -- every a_i from its unfolded definition ----------------------------------
+
+
+def unfolded_coefficients(cls, d):
+    """a_0 ... a_N as deg H^{N-i} (1 - dH)^{-1} ([P^N] - tensor_class(S, -d)) in the generic ring."""
+    h = ChowClass.hyperplane(cls.ambient)
+    n_total = cls.ambient.total_dim
+    tail = (1 - d * h).invert_unit() * (1 - tensor_class(cls, -d))
+    return tuple((h ** (n_total - i) * tail).integrate() for i in range(n_total + 1))
+
+
+def test_quadric_coefficients_match_their_unfolded_definition():
+    unfolded = unfolded_coefficients(doubled_ruling_segre_class(), 2)
+    assert unfolded[:10] == (1, 2, 4, 8, 16, 32, 64, 112, 140, 40)
+
+
+def test_folded_coefficients_match_their_unfolded_definition_on_random_integer_classes():
+    rng = random.Random(20261019)
+    for _ in range(30):
+        cls = ChowClass(P15, {(j,): rng.randint(-20, 20) for j in range(16) if rng.random() < 0.6})
+        for d in range(1, 5):
+            unfolded = unfolded_coefficients(cls, d)
+            assert tuple(predegree_coefficient(15, d, cls, i) for i in range(16)) == unfolded
+
+
+@pytest.mark.parametrize("ambient_dim", [0, -1])
+def test_polynomial_needs_a_positive_ambient_dim(ambient_dim):
+    with pytest.raises(ValueError, match="at least 1"):
+        PredegreePolynomial(ambient_dim, (1,))

@@ -23,6 +23,8 @@ from predegree.quadric import (
 )
 from predegree.segre import segre_class_pushforward
 from predegree.chow import ProductSpace
+from predegree.linalg import flatten, mat_mul, mat_vec
+from predegree.tangent import CANONICAL_RANK_ONE, POLARIZATION_POINTS, gradient_span, rank_one_matrix, sigma_normal_form
 
 IDENTITY = ProjMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 E00 = ProjMatrix([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
@@ -323,3 +325,69 @@ def test_point_conditions_need_a_point_of_p3(point):
         point_condition_value(IDENTITY, point)
     with pytest.raises(ValueError, match=r"is not a point of P\^3"):
         point_condition_gradient(IDENTITY, point)
+
+
+# -- the identities for a second smooth quadric --------------------------------
+
+# x0^2 - x1^2 + x2^2 - x3^2, and a change of coordinates B with f'(B y) = 4 (y0*y3 - y1*y2):
+# B times a base point of the Segre quadric is a base point of f'.
+SPLIT_DIAGONAL = QuadricGram([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+TO_SPLIT_DIAGONAL = ((1, 0, 0, 1), (-1, 0, 0, 1), (0, -1, 1, 0), (0, 1, 1, 0))
+
+
+def to_split_diagonal(phi):
+    return ProjMatrix(mat_mul(TO_SPLIT_DIAGONAL, phi.entries))
+
+
+def test_second_gram_is_the_segre_quadric_in_other_coordinates():
+    rng = random.Random(73)
+    for _ in range(20):
+        y = random_point(rng, 4)
+        assert SPLIT_DIAGONAL.value(mat_vec(TO_SPLIT_DIAGONAL, y)) == 4 * SEGRE_QUADRIC.value(y)
+    assert point_condition_value(IDENTITY, (1, 0, 0, 0), SPLIT_DIAGONAL) == 1
+    assert point_condition_value(IDENTITY, (1, 0, 0, 0)) == 0
+
+
+def test_gradient_polarization_identity_for_a_second_gram():
+    rng = random.Random(79)
+    for _ in range(20):
+        phi = ProjMatrix([random_point(rng, 4) for _ in range(4)])
+        psi = ProjMatrix([random_point(rng, 4) for _ in range(4)])
+        q = random_point(rng, 4)
+        t = random_fraction(rng) or Fraction(1)
+        mixed = ProjMatrix([[a + t * b for a, b in zip(r1, r2)] for r1, r2 in zip(phi.entries, psi.entries)])
+        lhs = (
+            point_condition_value(mixed, q, SPLIT_DIAGONAL)
+            - point_condition_value(phi, q, SPLIT_DIAGONAL)
+            - t * t * point_condition_value(psi, q, SPLIT_DIAGONAL)
+        )
+        grad = point_condition_gradient(phi, q, SPLIT_DIAGONAL)
+        assert lhs == t * sum(g * x for grow, xrow in zip(grad, psi.entries) for g, x in zip(grow, xrow))
+
+
+def test_membership_matches_point_condition_vanishing_for_a_second_gram():
+    rng = random.Random(83)
+    for index in range(30):
+        if index % 3 == 2:
+            phi = ProjMatrix([random_point(rng, 4) for _ in range(4)])
+        else:
+            phi = to_split_diagonal((sigma1, sigma2)[index % 3](random_point(rng, 2), random_pencil(rng)))
+        member = base_scheme_member(phi, SPLIT_DIAGONAL)
+        assert member == all(point_condition_value(phi, q, SPLIT_DIAGONAL) == 0 for q in POLARIZATION_POINTS)
+        assert member == (index % 3 != 2)
+    assert not base_scheme_member(to_split_diagonal(IDENTITY), SPLIT_DIAGONAL)
+
+
+def test_gradient_span_identities_for_a_second_gram():
+    # the ten polarization points span every gradient, and the span sizes of the strata do not
+    # depend on the coordinates: 4 at rank one, 7 at rank two, 10 at an invertible matrix
+    rng = random.Random(89)
+    strata = [(rank_one_matrix(*CANONICAL_RANK_ONE), 4), (sigma_normal_form(), 7), (IDENTITY, 10)]
+    for segre_point, dim in strata:
+        phi = to_split_diagonal(segre_point)
+        span = gradient_span(phi, SPLIT_DIAGONAL)
+        assert span.dim() == dim
+        assert span != gradient_span(phi)
+        for _ in range(5):
+            gradient = point_condition_gradient(phi, random_point(rng, 4), SPLIT_DIAGONAL)
+            assert span.contains(flatten(gradient))

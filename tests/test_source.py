@@ -101,3 +101,13 @@ def test_package_modules_read_every_private_name():
             if name.startswith("_") and not name.startswith("__") and name not in loaded
         ]
     assert offenders == []
+
+
+def test_package_lines_fit_in_120_characters():
+    offenders = [
+        f"{path.name}:{number} ({len(line)} characters)"
+        for path in sorted(Path(predegree.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 120
+    ]
+    assert offenders == []

@@ -340,3 +340,57 @@ def test_random_projective_point_rejects_empty_lengths_before_drawing(length):
     assert rng.getstate() == random.Random(0).getstate()
     with pytest.raises(TypeError):
         random_projective_point(rng, 2.0)
+
+
+def test_run_tangent_checks_takes_an_integral_seed(monkeypatch):
+    report = run_tangent_checks(True, 1)
+    assert report.to_payload()["seed"] == 1
+    assert report == run_tangent_checks(1, 1)
+    monkeypatch.setattr(tangent, "gradient_span", lambda *args: pytest.fail("a check ran before the seed was checked"))
+    with pytest.raises(TypeError):
+        run_tangent_checks(1.5, 1)
+
+
+# -- a battery that fails records what failed ----------------------------------
+
+
+def test_wrong_gradient_span_size_fails_the_rank_checks(monkeypatch):
+    # three gradients instead of four at every rank-one point
+    monkeypatch.setattr(tangent, "gradient_span", lambda *args: coordinate_subspace([0, 1, 2]))
+    assert verify_gradient_rank(*CANONICAL_RANK_ONE) is False
+    report = run_tangent_checks(seed=7, samples=3)
+    passed = {c.name: c.passed for c in report.checks}
+    assert passed == {
+        "gradient-rank-canonical": False,
+        "gradient-rank-random": False,
+        "gradient-span-rank-two-normal-form": False,
+        "tangent-intersection-canonical": True,
+        "tangent-intersection-random": True,
+    }
+    assert report.checks[1].detail == {"samples": 3, "failures": [0, 1, 2]}
+    assert report.all_passed is False
+
+
+def failing_on_calls(failing):
+    """verify_tangent_intersection that fails on the given calls, counted from 0 (the canonical point)."""
+    calls = []
+
+    def check(p, q, k):
+        calls.append((p, q, k))
+        return len(calls) - 1 not in failing and verify_tangent_intersection(p, q, k)
+
+    return check
+
+
+def test_failing_samples_are_recorded_by_index(monkeypatch):
+    monkeypatch.setattr(tangent, "verify_tangent_intersection", failing_on_calls({2, 4}))
+    payload = run_tangent_checks(seed=7, samples=4).to_payload()
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["tangent-intersection-canonical"]["passed"] is True
+    assert checks["tangent-intersection-random"] == {
+        "name": "tangent-intersection-random",
+        "passed": False,
+        "detail": {"samples": 4, "failures": [1, 3]},
+    }
+    assert [c["name"] for c in payload["checks"] if not c["passed"]] == ["tangent-intersection-random"]
+    assert payload["all_passed"] is False
