@@ -68,13 +68,8 @@ def _normalize(ambient: ProductSpace, items: Iterable[tuple[Exponents, Coefficie
         if any(map(operator.gt, exps, dims)):
             # h_i^{n_i+1} = 0, so the monomial vanishes in the quotient.
             continue
-        coeff = exact(coeff)
-        total = terms.get(exps, 0) + coeff
-        if total:
-            terms[exps] = total
-        elif exps in terms:
-            del terms[exps]
-    return terms
+        terms[exps] = terms.get(exps, 0) + exact(coeff)
+    return {e: c for e, c in terms.items() if c}
 
 
 @dataclass(frozen=True)

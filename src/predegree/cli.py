@@ -31,12 +31,12 @@ EXIT_INTEGRALITY = 3
 _INT64_MAX = 2**63 - 1
 
 # The Segre class costs about d^2 small products, d = sum n_i; within this limit on prod(n_i + 1) the
-# heaviest inputs take 14-17 ms (0,255), 3-4 ms (1,127) and 0.2-0.3 ms (15,15) in process.
+# heaviest inputs take 11-17 ms (0,255), 2-3 ms (1,127) and 0.15-0.25 ms (15,15) in process.
 MAX_SEGRE_BOX = 256
-# deg SO(m) is an exact floor(m/2)-square determinant: m = 100 takes about 2 s
+# deg SO(m) is an exact floor(m/2)-square determinant: m = 100 takes about 1.5 s
 # and the cost grows steeply past it, so the CLI refuses larger group sizes.
 MAX_GROUP_M = 100
-# A tangent-check sample costs about 8 ms, so 1000 samples take about 8 s.
+# A tangent-check sample costs about 5 ms, so 1000 samples take about 5 s.
 MAX_TANGENT_SAMPLES = 1000
 # a_i has about i * log10(d) digits: the largest answer within both limits has 766.
 MAX_COEFF_DEGREE = 1000

@@ -185,10 +185,6 @@ class LinearSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def projective_dim(self) -> int:
-        """Dimension of the projectivization (one less than the linear dim)."""
-        return self.dim() - 1
-
     def contains(self, v: Sequence) -> bool:
         return self.contains_subspace(LinearSubspace.span([v], self.ambient_dim))
 

@@ -56,10 +56,6 @@ class PredegreePolynomial:
         object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def transformation_space_dim(self) -> int:
-        return self.ambient_dim ** 2 + 2 * self.ambient_dim
-
     def degree(self) -> int:
         """Largest i with a_i nonzero (0 for the zero polynomial)."""
         return max((i for i, c in enumerate(self.coeffs) if c), default=0)
@@ -114,7 +110,7 @@ def tensor_class(cls: ChowClass, twist: int) -> ChowClass:
     return ChowClass._built(ambient, [((c,), value) for c, value in enumerate(twisted)])
 
 
-def _coefficients(n_total: int, d: int, segre_class: ChowClass | None, indices) -> list[int]:
+def _coefficients(n_total: int, d: int, segre_class: ChowClass, indices) -> list[int]:
     """Multidegrees a_i at the given indices, read off the Segre class in closed form.
 
     The degree of H^{N-i} (1 - dH)^{-1} ([P^N] - S twisted by O(-d)) folds,
@@ -124,19 +120,18 @@ def _coefficients(n_total: int, d: int, segre_class: ChowClass | None, indices) 
     n_total, d = index(n_total), index(d)
     if d < 1:
         raise ValueError("the hypersurface degree d must be at least 1")
-    if segre_class is not None and segre_class.ambient.factor_dims != (n_total,):
+    if segre_class.ambient.factor_dims != (n_total,):
         raise ValueError("the Segre class must live on the same projective space")
-    terms = {} if segre_class is None else segre_class.terms
     coeffs = []
     for i in indices:
-        value = d ** i - sum(comb(i, j) * d ** (i - j) * s_j for (j,), s_j in terms.items() if j <= i)
+        value = d ** i - sum(comb(i, j) * d ** (i - j) * s_j for (j,), s_j in segre_class.terms.items() if j <= i)
         if value.denominator != 1:
             raise IntegralityError(f"coefficient a_{i} evaluated to the non-integer {value}")
         coeffs.append(int(value))
     return coeffs
 
 
-def predegree_coefficient(ambient_total_dim: int, d: int, segre_class: ChowClass | None, i: int) -> int:
+def predegree_coefficient(ambient_total_dim: int, d: int, segre_class: ChowClass, i: int) -> int:
     """Multidegree a_i extracted from a class agreeing with the Segre class
     of the base locus up to codimension i.
 
@@ -149,9 +144,7 @@ def predegree_coefficient(ambient_total_dim: int, d: int, segre_class: ChowClass
     return _coefficients(ambient_total_dim, d, segre_class, [i])[0]
 
 
-def predegree_from_segre(
-    ambient_total_dim: int, d: int, segre_class: ChowClass | None, orbit_dim: int
-) -> PredegreePolynomial:
+def predegree_from_segre(ambient_total_dim: int, d: int, segre_class: ChowClass, orbit_dim: int) -> PredegreePolynomial:
     """Assemble the full polynomial from a partial Segre class.
 
     The caller certifies that the supplied class agrees with the Segre class

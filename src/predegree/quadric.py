@@ -18,7 +18,7 @@ from typing import Sequence
 from . import segre
 from .chow import ChowClass, ProductSpace
 from .linalg import Matrix, Rational, Vector, coerce, det, dot, flatten, is_zero_vector, mat_mul, mat_vec, outer
-from .linalg import rank, ratio, transpose
+from .linalg import ratio, transpose
 from .polynomial import (
     PredegreePolynomial,
     deg_po,
@@ -78,13 +78,6 @@ class ProjMatrix:
 
     def apply(self, point: Sequence) -> Vector:
         return mat_vec(self.entries, coerce(point))
-
-    def rank(self) -> int:
-        return rank(self.entries)
-
-    def proportional_to(self, other: "ProjMatrix") -> bool:
-        """Equality as points of projective space: the two nonzero points span a line."""
-        return rank((self.flatten(), other.flatten())) == 1
 
 
 @dataclass(frozen=True)

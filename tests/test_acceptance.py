@@ -151,7 +151,7 @@ def test_criterion_06_table2():
 
 def test_criterion_07_bezout_property():
     for i in range(16):
-        assert predegree_coefficient(15, 2, None, i) == 2 ** i
+        assert predegree_coefficient(15, 2, ChowClass.zero(P15), i) == 2 ** i
     report(7, "empty base class gives coefficients 2^i for i = 0..15")
 
 

@@ -296,3 +296,24 @@ def test_str_renders_a_coefficient_of_minus_one_as_a_sign():
     assert str(1 - H()) == "1 - H"
     assert str(H() - H(2)) == "H - H^2"
     assert str(-(k(0) * k(1, 2))) == "-h1*h2^2"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda c: c + "x", lambda c: c - "x", lambda c: c * 1.5, lambda c: "x" * c],
+    ids=["add", "sub", "mul float", "rmul str"],
+)
+def test_unsupported_operands_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call(1 + H())
+
+
+class One:
+    def __index__(self):
+        return 1
+
+
+def test_exponents_indexing_to_one_tuple_accumulate_then_cancel():
+    # terms are summed per exponent tuple first, and only the zero sums are dropped
+    assert ChowClass(P15, {(1,): 1, (One(),): -1}).is_zero
+    assert ChowClass(P15, {(1,): 1, (One(),): -1, (One(),): 2}).terms == {(1,): 2}

@@ -318,3 +318,10 @@ def test_golden_outputs(capsys):
         code, out, _ = run_cli(capsys, *command.split())
         assert code == 0, command
         assert out == expected, command
+
+
+def test_malformed_factor_list_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["segre-class", "--factors", "x"])
+    assert exc.value.code == 2
+    assert "expected a comma-separated integer list" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from predegree.quadric import (
 )
 from predegree.segre import segre_class_pushforward
 from predegree.chow import ProductSpace
-from predegree.linalg import flatten, mat_mul, mat_vec
+from predegree.linalg import flatten, mat_mul, mat_vec, rank
 from predegree.tangent import CANONICAL_RANK_ONE, POLARIZATION_POINTS, gradient_span, rank_one_matrix, sigma_normal_form
 
 IDENTITY = ProjMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -70,18 +70,18 @@ def test_proj_matrix_validation():
         ProjMatrix([[1, 0], [0, 1]])
     phi = ProjMatrix.from_flat([1] + [0] * 15)
     assert phi == E00
-    assert phi.rank() == 1
-    assert phi.proportional_to(ProjMatrix.from_flat([Fraction(1, 2)] + [0] * 15))
-    assert not phi.proportional_to(IDENTITY)
+    assert rank(phi.entries) == 1
+    assert rank((phi.flatten(), ProjMatrix.from_flat([Fraction(1, 2)] + [0] * 15).flatten())) == 1
+    assert rank((phi.flatten(), IDENTITY.flatten())) != 1
 
 
 def test_proportional_to_is_exact_for_int_entries():
     # a float scale 1/49 would give (1/49) * 49 == 0.9999999999999999
     ones, scaled = ProjMatrix.from_flat([1] * 16), ProjMatrix.from_flat([49] * 16)
-    assert ones.proportional_to(scaled)
-    assert scaled.proportional_to(ones)
-    assert not ones.proportional_to(ProjMatrix.from_flat([49] * 15 + [48]))
-    assert not ones.proportional_to(ProjMatrix.from_flat([0] + [49] * 15))
+    assert rank((ones.flatten(), scaled.flatten())) == 1
+    assert rank((scaled.flatten(), ones.flatten())) == 1
+    assert rank((ones.flatten(), ProjMatrix.from_flat([49] * 15 + [48]).flatten())) != 1
+    assert rank((ones.flatten(), ProjMatrix.from_flat([0] + [49] * 15).flatten())) != 1
 
 
 def test_point_condition_value_examples():
@@ -162,8 +162,8 @@ def test_sigma_rank_matches_pencil_rank():
 
     for _ in range(20):
         p, xi = random_point(rng, 2), random_pencil(rng)
-        assert sigma1(p, xi).rank() == mat_rank(xi)
-        assert sigma2(p, xi).rank() == mat_rank(xi)
+        assert mat_rank(sigma1(p, xi).entries) == mat_rank(xi)
+        assert mat_rank(sigma2(p, xi).entries) == mat_rank(xi)
 
 
 def test_sigma_rejects_zero_inputs():
@@ -391,3 +391,9 @@ def test_gradient_span_identities_for_a_second_gram():
         for _ in range(5):
             gradient = point_condition_gradient(phi, random_point(rng, 4), SPLIT_DIAGONAL)
             assert span.contains(flatten(gradient))
+
+
+def test_table2_checks_the_stabilizer_degree_divides_the_top_coefficient(monkeypatch):
+    monkeypatch.setattr(quadric, "deg_po", lambda m: 39)
+    with pytest.raises(ArithmeticError, match="not a multiple"):
+        table2()
