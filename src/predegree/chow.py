@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .linalg import exact
+from .linalg import Rational, exact
 
 Exponents = tuple[int, ...]
-Coefficient = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,9 @@ class ProductSpace:
         return self.factor_dims
 
 
-def _normalize(ambient: ProductSpace, items: Iterable[tuple[Exponents, Coefficient]]) -> dict:
+def _normalize(ambient: ProductSpace, items: Iterable[tuple[Exponents, Rational]]) -> dict:
     dims = ambient.factor_dims
-    terms: dict[Exponents, Coefficient] = {}
+    terms: dict[Exponents, Rational] = {}
     for exps, coeff in items:
         exps = tuple(map(operator.index, exps))
         if len(exps) != len(dims):
@@ -77,7 +76,7 @@ class ChowClass:
     """Element of the Chow ring of a product of projective spaces."""
 
     ambient: ProductSpace
-    terms: Mapping[Exponents, Coefficient] = field(default_factory=dict)
+    terms: Mapping[Exponents, Rational] = field(default_factory=dict)
 
     # The terms are a dict, so a class has no hash.
     __hash__ = None
@@ -88,7 +87,7 @@ class ChowClass:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _built(cls, ambient: ProductSpace, items: Iterable[tuple[Exponents, Coefficient]]) -> "ChowClass":
+    def _built(cls, ambient: ProductSpace, items: Iterable[tuple[Exponents, Rational]]) -> "ChowClass":
         """Class from terms the package built: distinct exponent tuples of plain ints inside the
         truncation, with int or Fraction coefficients (not checked); zero terms are dropped."""
         built = object.__new__(cls)
@@ -122,10 +121,10 @@ class ChowClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps: Iterable[int]) -> Coefficient:
+    def coefficient(self, exps: Iterable[int]) -> Rational:
         return self.terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> Coefficient:
+    def constant_term(self) -> Rational:
         return self.coefficient((0,) * self.ambient.num_factors)
 
     def codimensions(self) -> list[int]:
@@ -171,7 +170,7 @@ class ChowClass:
         if other is NotImplemented:
             return NotImplemented
         dims = self.ambient.factor_dims
-        product: dict[Exponents, Coefficient] = {}
+        product: dict[Exponents, Rational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
@@ -222,7 +221,7 @@ class ChowClass:
             raise ValueError("codimension out of range for the ambient space")
         return ChowClass._built(self.ambient, [(e, c) for e, c in self.terms.items() if sum(e) == j])
 
-    def integrate(self) -> Coefficient:
+    def integrate(self) -> Rational:
         """Degree of the zero-dimensional piece: coefficient of the point class."""
         return self.coefficient(self.ambient.top_exponents)
 

@@ -2,9 +2,9 @@
 
 Each cmd_* function returns (inputs, result, text).  main prints the text, or
 under --json the payload {"command": ..., "inputs": {...}, "result": {...}};
-verify has no text and always prints the payload.  Integers are JSON numbers
-when they fit in 64 bits (decimal strings otherwise) and rationals always
-exact "p/q" strings.
+verify has no text and always prints the payload.  main alone serializes: every
+integer in the payload is a JSON number when it fits in 64 bits (a decimal
+string otherwise); rationals, and segre-class term coefficients, are strings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 integrality failure.
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import segre
 from .chow import ProductSpace
-from .polynomial import IntegralityError, deg_po, deg_so, predegree_coefficient
+from .polynomial import IntegralityError, deg_po, deg_so, format_polynomial, predegree_coefficient
 from .quadric import ProjMatrix, base_scheme_member, table1_row, table2
 from .tangent import run_tangent_checks
 
@@ -45,9 +45,15 @@ MAX_COEFF_DEGREE = 1000
 Outcome = tuple[dict, dict, str | None]
 
 
-def json_int(value: int):
-    """Integers as JSON numbers while they fit in 64 bits, else strings."""
-    return value if -_INT64_MAX - 1 <= value <= _INT64_MAX else str(value)
+def _json_ints(value):
+    """The payload with every integer past 64 bits as a decimal string; the rest passes unchanged."""
+    if isinstance(value, dict):
+        return {key: _json_ints(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_ints(item) for item in value]
+    if isinstance(value, int) and not -_INT64_MAX - 1 <= value <= _INT64_MAX:
+        return str(value)
+    return value
 
 
 def check_limit(label: str, value: int, limit: int) -> None:
@@ -81,15 +87,15 @@ def _row_result(row) -> dict:
     return {
         "quadric_space_dim": row.quadric_space_dim,
         "max_base_component_dim": row.max_base_component_dim,
-        "coefficients": [None if c is None else json_int(c) for c in row.coeffs],
-        "polynomial": row.polynomial_string(),
+        "coefficients": list(row.coeffs),
+        "polynomial": format_polynomial(row.coeffs),
     }
 
 
 def cmd_predegree(args) -> Outcome:
     check_limit(f"--n {args.n}: the group size n + 1 =", args.n + 1, MAX_GROUP_M)
-    row = table1_row(args.n)
-    return {"target": "quadric", "n": args.n}, _row_result(row), row.polynomial_string()
+    result = _row_result(table1_row(args.n))
+    return {"target": "quadric", "n": args.n}, result, result["polynomial"]
 
 
 def cmd_segre_class(args) -> Outcome:
@@ -102,22 +108,20 @@ def cmd_segre_class(args) -> Outcome:
 def cmd_group_degree(args) -> Outcome:
     check_limit("--m", args.m, MAX_GROUP_M)
     value = deg_so(args.m) if args.command == "deg-so" else deg_po(args.m)
-    return {"m": args.m}, {"degree": json_int(value)}, str(value)
+    return {"m": args.m}, {"degree": value}, str(value)
 
 
 def cmd_table(args) -> Outcome:
     if args.which == 1:
-        table = [table1_row(n) for n in range(1, 5)]
-        rows = [{"n": r.n, **_row_result(r)} for r in table]
+        rows = [{"n": n, **_row_result(table1_row(n))} for n in range(1, 5)]
         text = "\n".join(
-            f"n={r.n}  dim quadric space={r.quadric_space_dim}  "
-            f"max base component dim={r.max_base_component_dim}  {r.polynomial_string()}"
-            for r in table
+            f"n={r['n']}  dim quadric space={r['quadric_space_dim']}  "
+            f"max base component dim={r['max_base_component_dim']}  {r['polynomial']}"
+            for r in rows
         )
     else:
-        table = table2()
-        rows = [{"dim_l": d, "count": json_int(c)} for d, c in table]
-        text = "\n".join(f"dim L = {d}: {c}" for d, c in table)
+        rows = [{"dim_l": d, "count": c} for d, c in table2()]
+        text = "\n".join(f"dim L = {r['dim_l']}: {r['count']}" for r in rows)
     return {"which": args.which}, {"rows": rows}, text
 
 
@@ -142,7 +146,7 @@ def cmd_coeff(args) -> Outcome:
     ambient = segre.ambient_dim(space)
     value = predegree_coefficient(ambient, args.d, cls, args.i)
     inputs = {"i": args.i, "d": args.d, "segre_factors": list(space.factor_dims), "double": args.double}
-    return inputs, {"coefficient": json_int(value)}, str(value)
+    return inputs, {"coefficient": value}, str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,7 +212,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if text is None or args.json:
-        print(json.dumps({"command": args.command, "inputs": inputs, "result": result}, indent=2))
+        print(json.dumps(_json_ints({"command": args.command, "inputs": inputs, "result": result}), indent=2))
     else:
         print(text)
     # Only a tangent report carries all_passed.

@@ -36,10 +36,6 @@ def coerce(entries: Iterable) -> Vector:
     return tuple(x if isinstance(x, (int, Fraction)) else exact(x) for x in entries)
 
 
-def is_zero_vector(v: Sequence[Rational]) -> bool:
-    return all(x == 0 for x in v)
-
-
 def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
     if len(u) != len(v):
         raise ValueError("dot product of vectors of different lengths")
@@ -205,4 +201,4 @@ class LinearSubspace:
         n = self.ambient_dim
         zero = (0,) * n
         reduced = rref([u + u for u in self.basis] + [w + zero for w in other.basis])
-        return LinearSubspace(n, tuple(row[n:] for row in reduced if is_zero_vector(row[:n])))
+        return LinearSubspace(n, tuple(row[n:] for row in reduced if not any(row[:n])))

@@ -60,12 +60,8 @@ class PredegreePolynomial:
         """Largest i with a_i nonzero (0 for the zero polynomial)."""
         return max((i for i, c in enumerate(self.coeffs) if c), default=0)
 
-    def nonzero_prefix(self) -> tuple[int, ...]:
-        """Coefficients up to the last nonzero one."""
-        return self.coeffs[: self.degree() + 1]
-
     def as_string(self) -> str:
-        return format_polynomial(self.nonzero_prefix())
+        return format_polynomial(self.coeffs)
 
 
 def format_polynomial(coeffs) -> str:

@@ -17,12 +17,11 @@ from typing import Sequence
 
 from . import segre
 from .chow import ChowClass, ProductSpace
-from .linalg import Matrix, Rational, Vector, coerce, det, dot, flatten, is_zero_vector, mat_mul, mat_vec, outer
+from .linalg import Matrix, Rational, Vector, coerce, det, dot, flatten, mat_mul, mat_vec, outer
 from .linalg import ratio, transpose
 from .polynomial import (
     PredegreePolynomial,
     deg_po,
-    format_polynomial,
     max_component_dim,
     predegree_from_segre,
 )
@@ -41,18 +40,18 @@ ORBIT_DIM_P3 = 9
 BASE_INTERSECTION_CODIM = 10
 
 
-def _square_matrix(entries: Sequence[Sequence]) -> Matrix:
-    """The rows of a MATRIX_SIDE x MATRIX_SIDE matrix, coerced to rationals."""
+def _matrix(entries: Sequence[Sequence], nrows: int) -> Matrix:
+    """The rows of an nrows x MATRIX_SIDE matrix, coerced to rationals."""
     rows = tuple(map(coerce, entries))
-    if len(rows) != MATRIX_SIDE or any(len(r) != MATRIX_SIDE for r in rows):
-        raise ValueError(f"expected a {MATRIX_SIDE}x{MATRIX_SIDE} matrix")
+    if len(rows) != nrows or any(len(r) != MATRIX_SIDE for r in rows):
+        raise ValueError(f"expected a {nrows}x{MATRIX_SIDE} matrix")
     return rows
 
 
 def projective_point(coords: Sequence, length: int) -> Vector:
     """The coordinates of a point of P^(length - 1), coerced; a wrong length or the zero vector raises ValueError."""
     v = coerce(coords)
-    if len(v) != length or is_zero_vector(v):
+    if len(v) != length or not any(v):
         point = "(" + " : ".join(map(str, v)) + ")"
         raise ValueError(f"{point} is not a point of P^{length - 1}: expected {length} coordinates, not all zero")
     return v
@@ -65,16 +64,13 @@ class ProjMatrix:
     entries: Matrix
 
     def __post_init__(self):
-        rows = _square_matrix(self.entries)
+        rows = _matrix(self.entries, MATRIX_SIDE)
         projective_point(flatten(rows), MATRIX_SIDE ** 2)
         object.__setattr__(self, "entries", rows)
 
     @classmethod
     def from_flat(cls, values: Sequence) -> "ProjMatrix":
         return cls(tuple(values[i : i + MATRIX_SIDE] for i in range(0, len(values), MATRIX_SIDE)))
-
-    def flatten(self) -> Vector:
-        return flatten(self.entries)
 
     def apply(self, point: Sequence) -> Vector:
         return mat_vec(self.entries, coerce(point))
@@ -93,7 +89,7 @@ class QuadricGram:
     polar: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = _square_matrix(self.entries)
+        rows = _matrix(self.entries, MATRIX_SIDE)
         if rows != transpose(rows):
             raise ValueError("the Gram matrix must be symmetric")
         if det(rows) == 0:
@@ -145,9 +141,7 @@ def point_condition_gradient(phi: ProjMatrix, point: Sequence, gram: QuadricGram
 def _ruling(second: bool, p: Sequence, xi: Sequence[Sequence]) -> ProjMatrix:
     """The bilinear ruling map: rows p_a * xi_b, ordered by (a, b), or by (b, a) for the second ruling."""
     pv = projective_point(p, 2)
-    xim = tuple(map(coerce, xi))
-    if len(xim) != 2 or any(len(r) != MATRIX_SIDE for r in xim):
-        raise ValueError(f"expected a 2x{MATRIX_SIDE} matrix for the P^7 factor")
+    xim = _matrix(xi, 2)
     projective_point(flatten(xim), 2 * MATRIX_SIDE)
     order = [(a, b) for b in range(2) for a in range(2)] if second else [(a, b) for a in range(2) for b in range(2)]
     return ProjMatrix(tuple(tuple(pv[a] * t for t in xim[b]) for a, b in order))
@@ -177,7 +171,7 @@ def base_scheme_member(phi: ProjMatrix, gram: QuadricGram = SEGRE_QUADRIC) -> bo
     is the exact matrix identity phi^T M phi = 0, read off phi^T (2M) phi.
     """
     composite = mat_mul(mat_mul(transpose(phi.entries), gram.polar), phi.entries)
-    return all(is_zero_vector(row) for row in composite)
+    return not any(map(any, composite))
 
 
 def doubled_ruling_segre_class() -> ChowClass:
@@ -210,9 +204,6 @@ class Table1Row:
     quadric_space_dim: int
     max_base_component_dim: int
     coeffs: tuple[int | None, ...]
-
-    def polynomial_string(self) -> str:
-        return format_polynomial(self.coeffs)
 
 
 def table1_row(n: int) -> Table1Row:

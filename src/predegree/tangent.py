@@ -75,7 +75,7 @@ def tangent_ruling_component(which: int, p: Sequence, xi: Sequence[Sequence]) ->
     sigma = sigma1 if which == 1 else sigma2
     sigma(p, xi)
     return _multilinear_tangent(
-        lambda s, t: sigma(s, (t[:MATRIX_SIDE], t[MATRIX_SIDE:])).flatten(), coerce(p), flatten(map(coerce, xi))
+        lambda s, t: flatten(sigma(s, (t[:MATRIX_SIDE], t[MATRIX_SIDE:])).entries), coerce(p), flatten(map(coerce, xi))
     )
 
 

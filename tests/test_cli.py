@@ -102,6 +102,8 @@ def test_table_1(capsys):
         (4, 14, 12),
     ]
     assert rows[0]["polynomial"] == "1 + 2t + 2t^2"
+    # unknown slots stay JSON null
+    assert rows[3]["coefficients"][12:] == [None, None, 384]
 
 
 def test_table_2(capsys):
@@ -142,6 +144,18 @@ def test_verify_tangents(capsys):
     payload = json.loads(out)
     assert payload["result"]["all_passed"] is True
     assert payload["inputs"] == {"what": "tangents", "seed": 5, "samples": 3}
+
+
+@pytest.mark.parametrize(
+    "seed,printed",
+    [(2**63 - 1, 2**63 - 1), (-(2**63), -(2**63)), (2**63, str(2**63)), (-(2**63) - 1, str(-(2**63) - 1))],
+)
+def test_json_integers_past_64_bits_print_as_strings(capsys, seed, printed):
+    code, out, _ = run_cli(capsys, "verify", "tangents", f"--seed={seed}", "--samples", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["inputs"]["seed"] == printed and payload["result"]["seed"] == printed
+    assert payload["result"]["all_passed"] is True
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

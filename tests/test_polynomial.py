@@ -141,7 +141,7 @@ def test_general_degree_supported():
 
 def test_predegree_from_segre_quadric_inputs():
     poly = predegree_from_segre(15, 2, doubled_ruling_segre_class(), 9)
-    assert poly.nonzero_prefix() == (1, 2, 4, 8, 16, 32, 64, 112, 140, 40)
+    assert poly.coeffs[:10] == (1, 2, 4, 8, 16, 32, 64, 112, 140, 40)
     assert poly.coeffs[10:] == (0,) * 6
     assert poly.ambient_dim == 3
 
@@ -189,6 +189,9 @@ def test_polynomial_type_validation():
     assert len(poly.coeffs) - 1 == 3
     assert poly.degree() == 2
     assert poly.as_string() == "1 + 2t + 2t^2"
+    # zero coefficients are skipped, and the zero polynomial prints as 0
+    assert PredegreePolynomial(1, (1, 0, 3, 0)).as_string() == "1 + 3t^2"
+    assert PredegreePolynomial(1, (0, 0, 0, 0)).as_string() == "0"
 
 
 class Count(IntEnum):

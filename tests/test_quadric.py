@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from predegree import quadric
-from predegree.polynomial import deg_po
+from predegree.polynomial import deg_po, format_polynomial
 from predegree.quadric import (
     BASE_INTERSECTION_CODIM,
     ORBIT_DIM_P3,
@@ -71,17 +71,17 @@ def test_proj_matrix_validation():
     phi = ProjMatrix.from_flat([1] + [0] * 15)
     assert phi == E00
     assert rank(phi.entries) == 1
-    assert rank((phi.flatten(), ProjMatrix.from_flat([Fraction(1, 2)] + [0] * 15).flatten())) == 1
-    assert rank((phi.flatten(), IDENTITY.flatten())) != 1
+    assert rank((flatten(phi.entries), flatten(ProjMatrix.from_flat([Fraction(1, 2)] + [0] * 15).entries))) == 1
+    assert rank((flatten(phi.entries), flatten(IDENTITY.entries))) != 1
 
 
 def test_proportional_to_is_exact_for_int_entries():
     # a float scale 1/49 would give (1/49) * 49 == 0.9999999999999999
     ones, scaled = ProjMatrix.from_flat([1] * 16), ProjMatrix.from_flat([49] * 16)
-    assert rank((ones.flatten(), scaled.flatten())) == 1
-    assert rank((scaled.flatten(), ones.flatten())) == 1
-    assert rank((ones.flatten(), ProjMatrix.from_flat([49] * 15 + [48]).flatten())) != 1
-    assert rank((ones.flatten(), ProjMatrix.from_flat([0] + [49] * 15).flatten())) != 1
+    assert rank((flatten(ones.entries), flatten(scaled.entries))) == 1
+    assert rank((flatten(scaled.entries), flatten(ones.entries))) == 1
+    assert rank((flatten(ones.entries), flatten(ProjMatrix.from_flat([49] * 15 + [48]).entries))) != 1
+    assert rank((flatten(ones.entries), flatten(ProjMatrix.from_flat([0] + [49] * 15).entries))) != 1
 
 
 def test_point_condition_value_examples():
@@ -173,6 +173,12 @@ def test_sigma_rejects_zero_inputs():
         sigma2((1, 0), [[0, 0, 0, 0], [0, 0, 0, 0]])
 
 
+@pytest.mark.parametrize("xi", [[[1, 0, 0], [0, 1, 0]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]])
+def test_sigma_rejects_a_p7_factor_that_is_not_2x4(xi):
+    with pytest.raises(ValueError, match="^expected a 2x4 matrix$"):
+        sigma1((1, 0), xi)
+
+
 def test_base_scheme_membership():
     assert not base_scheme_member(IDENTITY)
     assert base_scheme_member(E00)  # image (1:0:0:0) lies on the quadric
@@ -200,7 +206,7 @@ def test_membership_matches_point_condition_vanishing():
 
 def test_predegree_quadric_p3_golden():
     poly = predegree_quadric_p3()
-    assert poly.nonzero_prefix() == (1, 2, 4, 8, 16, 32, 64, 112, 140, 40)
+    assert poly.coeffs[: ORBIT_DIM_P3 + 1] == (1, 2, 4, 8, 16, 32, 64, 112, 140, 40)
     assert poly.coeffs[0] == 1
     assert all(c == 0 for c in poly.coeffs[ORBIT_DIM_P3 + 1 :])
 
@@ -239,7 +245,7 @@ def test_table1_polynomials():
     assert row4.coeffs[:12] == tuple(2 ** i for i in range(12))
     assert row4.coeffs[12] is None and row4.coeffs[13] is None
     assert row4.coeffs[14] == 384
-    assert row4.polynomial_string().endswith("*t^12 + *t^13 + 384t^14")
+    assert format_polynomial(row4.coeffs).endswith("*t^12 + *t^13 + 384t^14")
     with pytest.raises(ValueError):
         table1_row(0)
 

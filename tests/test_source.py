@@ -103,6 +103,20 @@ def test_package_modules_read_every_private_name():
     assert offenders == []
 
 
+def test_cli_alone_serializes_json():
+    # One serialization point: cli.main applies the JSON integer rule to the whole payload.
+    importers, dumps_calls = set(), []
+    for name, node in package_nodes():
+        if isinstance(node, ast.Import) and "json" in [alias.name for alias in node.names]:
+            importers.add(name)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            importers.add(name)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps":
+            dumps_calls.append(f"{name}:{node.lineno}")
+    assert importers == {"cli.py"}
+    assert len(dumps_calls) == 1 and dumps_calls[0].startswith("cli.py:")
+
+
 def test_package_lines_fit_in_120_characters():
     offenders = [
         f"{path.name}:{number} ({len(line)} characters)"

@@ -111,8 +111,8 @@ def test_tangent_ruling_dimension_and_containment():
         t1 = tangent_ruling_component(1, p, xi)
         t2 = tangent_ruling_component(2, p, xi)
         assert t1.dim() == 9 and t2.dim() == 9
-        assert t1.contains(sigma1(p, xi).flatten())
-        assert t2.contains(sigma2(p, xi).flatten())
+        assert t1.contains(flatten(sigma1(p, xi).entries))
+        assert t2.contains(flatten(sigma2(p, xi).entries))
 
 
 def test_tangent_ruling_validation():
@@ -215,7 +215,7 @@ def test_tangency_pairing_identity():
         psi = ProjMatrix([random_projective_point(rng, 4) for _ in range(4)])
         q = random_projective_point(rng, 4)
         grad = flatten(point_condition_gradient(phi, q))
-        pairing = dot(grad, psi.flatten())
+        pairing = dot(grad, flatten(psi.entries))
         form_gradient = SEGRE_QUADRIC.gradient(phi.apply(q))
         assert pairing == dot(form_gradient, psi.apply(q))
 
