@@ -22,7 +22,6 @@ from math import comb, factorial, isqrt
 from operator import index
 
 from .chow import ChowClass
-from .linalg import det
 
 
 class IntegralityError(ArithmeticError):
@@ -165,21 +164,41 @@ def chern_character_form(poly: PredegreePolynomial) -> tuple[Fraction, ...]:
 def deg_so(m: int) -> int:
     """Degree of the closure of SO(m) in the projective space of matrices.
 
-    Computed as 2^{m-1} times the determinant of the binomial-coefficient
-    matrix (C(2m - 2i - 2j, m - 2i)) for 1 <= i, j <= floor(m/2), over exact
-    integers.
+    This is 2^{m-1} det(C(2m - 2i - 2j, m - 2i)) for 1 <= i, j <= k = floor(m/2).
+    Reversing the indices makes the matrix (C(x_p + x_q, x_p)) for p, q < k with
+    x_p = 2p + r, r = m mod 2.  Its shifted minors G^(n)_s = det(C(x_p + x_q, x_p)),
+    p, q < s, x_p = 2p + n + r, are Hankel determinants of factorials divided by
+    prod (x_p!)^2, so the Desnanot-Jacobi identity gives, with
+    R = prod_{p < s-1} (x_p + 1) / (x_p + 2),
+
+        G^(n)_s G^(n+2)_{s-2} = G^(n)_{s-1} G^(n+2)_{s-1} - R^2 (G^(n+1)_{s-1})^2,
+
+    from G^(n)_0 = 1 and G^(n)_1 = C(2(n + r), n + r): O(k^2) exact steps.  Every
+    G is a principal minor of a positive definite Gram matrix, so no divisor is
+    zero, and every division must be exact.
     """
+    m = index(m)
     if m < 2:
         raise ValueError("the orthogonal group degree needs m >= 2")
-    size = m // 2
-    matrix = [
-        [comb(2 * m - 2 * i - 2 * j, m - 2 * i) for j in range(1, size + 1)]
-        for i in range(1, size + 1)
-    ]
-    value = det(matrix)
-    if value.denominator != 1:
-        raise IntegralityError(f"deg SO({m}) determinant evaluated to the non-integer {value}")
-    return 2 ** (m - 1) * int(value)
+    k, r = divmod(m, 2)
+    # older[n] = G^(n)_{s-2}, old[n] = G^(n)_{s-1}, and R = num[n] / den[n].
+    older = [1] * (2 * k + 1)
+    old = [comb(2 * (n + r), n + r) for n in range(2 * k - 1)]
+    num = [1] * (2 * k - 1)
+    den = [1] * (2 * k - 1)
+    for s in range(2, k + 1):
+        new = []
+        for n in range(2 * (k - s) + 1):
+            x = 2 * s + n + r - 4
+            num[n] *= x + 1
+            den[n] *= x + 2
+            den2 = den[n] * den[n]
+            value, rest = divmod(den2 * old[n] * old[n + 2] - num[n] ** 2 * old[n + 1] ** 2, den2 * older[n + 2])
+            if rest:
+                raise IntegralityError(f"deg SO({m}): the minor G^({n})_{s} is not an integer")
+            new.append(value)
+        older, old = old, new
+    return 2 ** (m - 1) * old[0]
 
 
 def deg_po(m: int) -> int:

@@ -2,13 +2,14 @@ import random
 import re
 from enum import IntEnum
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predegree.chow import ChowClass, ProductSpace
+from predegree.linalg import det
 from predegree.polynomial import (
     IntegralityError,
     PredegreePolynomial,
@@ -250,6 +251,14 @@ def test_deg_so_requires_m_at_least_two():
         deg_so(1)
 
 
+@pytest.mark.parametrize("m", range(2, 61))
+def test_deg_so_equals_determinant_formula(m):
+    # the recurrence against a direct determinant of (C(2m - 2i - 2j, m - 2i)), both parities of m
+    size = m // 2
+    matrix = [[comb(2 * m - 2 * i - 2 * j, m - 2 * i) for j in range(1, size + 1)] for i in range(1, size + 1)]
+    assert deg_so(m) == 2 ** (m - 1) * det(matrix)
+
+
 def test_deg_so_positive_and_deg_po_even():
     for m in range(2, 9):
         value = deg_so(m)
@@ -380,8 +389,10 @@ def test_int_like_ambient_dim_is_coerced():
         lambda: predegree_from_segre(15, 2.0, empty(15), 9),
         lambda: predegree_from_segre(15, 2, empty(15), 9.0),
         lambda: fano_dim(3, 1.0),
+        lambda: deg_so(4.0),
+        lambda: deg_so(Fraction(4)),
     ],
-    ids=["d", "i", "ambient_total_dim", "fraction d", "from_segre d", "orbit_dim", "fano_dim k"],
+    ids=["d", "i", "ambient_total_dim", "fraction d", "from_segre d", "orbit_dim", "fano_dim k", "m", "fraction m"],
 )
 def test_non_integral_sizes_raise_type_error(call):
     with pytest.raises(TypeError):
