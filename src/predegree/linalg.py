@@ -6,8 +6,9 @@ Vectors are tuples of rationals and matrices are tuples of such row vectors.
 through ``Fraction``.  ``coerce`` applies it to inputs and ``ratio`` to computed
 quotients, so integer inputs stay integer to the answer.  One
 fraction-free integer elimination does every reduction: each row is coerced
-and cleared of denominators once, and rref, rank, det, subspace membership and
-(Zassenhaus) intersection all read their answer off it.  There is no floating
+and cleared of denominators once, and rref and rank read their answer off it.
+Every other linear-algebra question the package asks (smoothness, subspace
+membership, the dimension of an intersection) is a rank.  There is no floating
 point and no tolerance anywhere in the package.
 """
 
@@ -69,36 +70,31 @@ def flatten(m: Matrix) -> Vector:
     return tuple(x for row in m for x in row)
 
 
-def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], int, int, int]:
+def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
     """Fraction-free Gauss-Jordan elimination over the integers (Bareiss).
 
     Each row is coerced and multiplied once by the lcm of its denominators (1
-    for an int row); ``scale`` is the product of those multipliers.  Each pivot
-    d (previous pivot prev) turns every other row into (d*a - f*b) // prev, an
-    exact division because every entry is a minor of the cleared matrix.
-    Returns the pivot rows in order of their pivot columns, every pivot equal
-    to the last one d; d; the sign of the row swaps; and scale.
+    for an int row).  Each pivot d (previous pivot prev) turns every other row
+    into (d*a - f*b) // prev, an exact division because every entry is a minor
+    of the cleared matrix.  Returns the pivot rows in order of their pivot
+    columns, every pivot equal to the last one d, and d.
     """
     work = []
-    scale = 1
     for row in rows:
         entries = coerce(row)
         multiplier = lcm(*(x.denominator for x in entries))
         work.append([x.numerator * (multiplier // x.denominator) for x in entries])
-        scale *= multiplier
     ncols = len(work[0]) if work else 0
     if any(len(r) != ncols for r in work):
         raise ValueError("rows of unequal length")
-    sign, prev, found = 1, 1, 0
+    prev, found = 1, 0
     for col in range(ncols):
         if found == len(work):
             break
         pivot = next((i for i in range(found, len(work)) if work[i][col]), None)
         if pivot is None:
             continue
-        if pivot != found:
-            work[found], work[pivot] = work[pivot], work[found]
-            sign = -sign
+        work[found], work[pivot] = work[pivot], work[found]
         top = work[found]
         d = top[col]
         for i, row in enumerate(work):
@@ -107,50 +103,17 @@ def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], int, int, int
                 work[i] = [(d * a - f * b) // prev for a, b in zip(row, top)]
         prev = d
         found += 1
-    return work[:found], prev, sign, scale
+    return work[:found], prev
 
 
 def rref(rows: Iterable[Sequence]) -> Matrix:
     """Reduced row echelon form with zero rows dropped; integral entries are ints."""
-    pivot_rows, d, _, _ = _eliminate(rows)
+    pivot_rows, d = _eliminate(rows)
     return tuple(tuple(ratio(x, d) for x in row) for row in pivot_rows)
 
 
 def rank(rows: Iterable[Sequence]) -> int:
     return len(_eliminate(rows)[0])
-
-
-def nullspace(rows: Iterable[Sequence]) -> list[Vector]:
-    """Basis of the right kernel {x : A x = 0}."""
-    m = list(rows)
-    if not m:
-        raise ValueError("nullspace of an empty matrix is ambiguous")
-    ncols = len(m[0])
-    reduced = rref(m)
-    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in reduced]
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return basis
-
-
-def det(rows: Iterable[Sequence]) -> Rational:
-    """Determinant from the integer elimination; an int when it is integral.
-
-    At full rank the last pivot d is the determinant of the cleared rows up to
-    the sign of the row swaps, so det = sign * d / scale; otherwise it is 0.
-    """
-    m = list(rows)
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant requires a square matrix")
-    pivot_rows, d, sign, scale = _eliminate(m)
-    return ratio(sign * d, scale) if len(pivot_rows) == n else 0
 
 
 @dataclass(frozen=True)
@@ -188,17 +151,3 @@ class LinearSubspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambient spaces")
         return rank(self.basis + other.basis) == self.dim()
-
-    def intersect(self, other: "LinearSubspace") -> "LinearSubspace":
-        """Exact intersection of two spans (Zassenhaus).
-
-        Row-reduce the rows (u | u), u in self, stacked on (w | 0), w in other:
-        the reduced rows whose left half vanishes carry the reduced basis of
-        the intersection in their right half.
-        """
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("subspaces live in different ambient spaces")
-        n = self.ambient_dim
-        zero = (0,) * n
-        reduced = rref([u + u for u in self.basis] + [w + zero for w in other.basis])
-        return LinearSubspace(n, tuple(row[n:] for row in reduced if not any(row[:n])))

@@ -17,8 +17,8 @@ from typing import Sequence
 
 from . import segre
 from .chow import ChowClass, ProductSpace
-from .linalg import Matrix, Rational, Vector, coerce, det, dot, flatten, mat_mul, mat_vec, outer
-from .linalg import ratio, transpose
+from .linalg import Matrix, Rational, Vector, coerce, dot, flatten, mat_mul, mat_vec, outer
+from .linalg import rank, ratio, transpose
 from .polynomial import (
     PredegreePolynomial,
     deg_po,
@@ -92,7 +92,7 @@ class QuadricGram:
         rows = _matrix(self.entries, MATRIX_SIDE)
         if rows != transpose(rows):
             raise ValueError("the Gram matrix must be symmetric")
-        if det(rows) == 0:
+        if rank(rows) != MATRIX_SIDE:
             raise ValueError("the quadric must be smooth (nonzero determinant)")
         object.__setattr__(self, "entries", rows)
         polar = tuple(tuple(ratio(2 * x.numerator, x.denominator) for x in row) for row in rows)

@@ -114,12 +114,21 @@ def tangent_intersection_locus(p: Sequence, q: Sequence, k: Sequence) -> LinearS
 
 
 def verify_tangent_intersection(p: Sequence, q: Sequence, k: Sequence) -> bool:
-    """Check that the two ruling tangent spaces meet exactly in the tangent
-    space of the intersection locus at the rank-one point of (p, q, k)."""
+    """Check that the two ruling tangent spaces T1 and T2 meet exactly in the
+    tangent space E of the intersection locus at the rank-one point of (p, q, k).
+
+    Both contain E, and by the Grassmann formula the intersection has
+    dimension dim T1 + dim T2 - rank(T1 + T2), which must equal dim E: so the
+    intersection is E and no larger.
+    """
     t1 = tangent_ruling_component(1, q, pencil_matrix(p, k))
     t2 = tangent_ruling_component(2, p, pencil_matrix(q, k))
     expected = tangent_intersection_locus(p, q, k)
-    return t1.intersect(t2) == expected
+    return (
+        t1.contains_subspace(expected)
+        and t2.contains_subspace(expected)
+        and rank(t1.basis + t2.basis) == t1.dim() + t2.dim() - expected.dim()
+    )
 
 
 def verify_gradient_rank(p: Sequence, q: Sequence, k: Sequence) -> bool:

@@ -6,7 +6,7 @@ import pytest
 from predegree import tangent
 from predegree.linalg import LinearSubspace, dot, flatten, rank
 from predegree.quadric import ProjMatrix, point_condition_gradient, sigma1, sigma2
-from predegree.linalg import det, rref
+from predegree.linalg import rref
 from predegree.quadric import QuadricGram, point_condition_value
 from predegree.tangent import (
     CANONICAL_INTERSECTION,
@@ -157,7 +157,15 @@ def test_verify_tangent_intersection_canonical_and_random():
         )
 
 
-def test_negative_control_perturbed_basis():
+def substitute_ruling_tangent(monkeypatch, which, space):
+    """Make tangent_ruling_component return space for the given component, and the true tangent for the other."""
+    ruling = tangent.tangent_ruling_component
+    monkeypatch.setattr(
+        tangent, "tangent_ruling_component", lambda w, *args: space if w == which else ruling(w, *args)
+    )
+
+
+def test_negative_control_perturbed_basis(monkeypatch):
     # harness sanity check: replacing a ruling tangent direction that carries
     # part of the intersection by an unrelated vector breaks the identity for
     # this seed
@@ -166,9 +174,18 @@ def test_negative_control_perturbed_basis():
     rng = random.Random(2)
     perturbed_vectors = [random_projective_point(rng, 16)] + list(t1.basis[1:])
     perturbed = LinearSubspace.span(perturbed_vectors, MATRIX_SPACE_DIM)
-    t2 = tangent_ruling_component(2, p, pencil_matrix(q, k))
-    expected = tangent_intersection_locus(p, q, k)
-    assert perturbed.intersect(t2) != expected
+    substitute_ruling_tangent(monkeypatch, 1, perturbed)
+    assert verify_tangent_intersection(p, q, k) is False
+
+
+def test_negative_control_equal_ruling_tangents(monkeypatch):
+    # T2 replaced by T1: both contain the locus tangent, so only the dimension
+    # of the intersection (9, not 6) can reject it
+    p, q, k = CANONICAL_INTERSECTION
+    t1 = tangent_ruling_component(1, q, pencil_matrix(p, k))
+    assert t1.contains_subspace(tangent_intersection_locus(p, q, k))
+    substitute_ruling_tangent(monkeypatch, 2, t1)
+    assert verify_tangent_intersection(p, q, k) is False
 
 
 def test_verify_gradient_rank_canonical_and_random():
@@ -307,7 +324,6 @@ FLOAT_INPUTS = {
     "from_flat": lambda: ProjMatrix.from_flat([0.5] + [0] * 15),
     "QuadricGram": lambda: QuadricGram(ROWS_WITH_A_FLOAT),
     "rref": lambda: rref([[1, 0.1]]),
-    "det": lambda: det([[1, 0], [0, 0.1]]),
     "LinearSubspace.span": lambda: LinearSubspace.span([[1, 0.1]]),
     "point_condition_value": lambda: point_condition_value(IDENTITY, (1, 0, 0, 0.1)),
     "sigma1": lambda: sigma1((1, 0.5), ((1, 0, 0, 0), (0, 1, 0, 0))),
