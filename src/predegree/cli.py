@@ -8,20 +8,21 @@ string otherwise); rationals, and segre-class term coefficients, are strings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 integrality failure.
+
+``import predegree`` loads submodules on first use, and each command loads
+only the modules it runs: every command needs ``polynomial`` (with ``chow`` and
+``linalg``), imported here, while a cmd_* that needs ``quadric``, ``segre`` or
+``tangent`` imports it itself, and main loads ``json`` only to print a payload.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
-from . import segre
 from .chow import ProductSpace
 from .polynomial import IntegralityError, deg_po, deg_so, format_polynomial, predegree_coefficient
-from .quadric import ProjMatrix, base_scheme_member, table1_row, table2
-from .tangent import run_tangent_checks
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -37,7 +38,8 @@ MAX_SEGRE_BOX = 256
 # 2-core x86-64 box with Python 3.11, m = 100 takes about 40 ms, m = 150 0.35 s and m = 200 1.5 s,
 # so the limit keeps every accepted group size well under a second.
 MAX_GROUP_M = 100
-# A tangent-check sample costs about 5 ms, so 1000 samples take about 5 s.
+# In process on a 2-core x86-64 box with Python 3.11, run_tangent_checks(0, 200) takes 1.1-1.5 s, about
+# 7 ms a sample, and 1000 samples take about 7 s.
 MAX_TANGENT_SAMPLES = 1000
 # a_i has about i * log10(d) digits: the largest answer within both limits has 766.
 MAX_COEFF_DEGREE = 1000
@@ -78,6 +80,8 @@ parse_rational_list = _list_parser(Fraction, "comma-separated rationals")
 
 
 def _segre_space(flag: str, factors: list[int]) -> ProductSpace:
+    from . import segre
+
     space = ProductSpace(tuple(factors))
     box = segre.ambient_dim(space) + 1
     check_limit(f"{flag} {','.join(map(str, factors))}: the factor box prod(n_i + 1) =", box, MAX_SEGRE_BOX)
@@ -94,12 +98,16 @@ def _row_result(row) -> dict:
 
 
 def cmd_predegree(args) -> Outcome:
+    from .quadric import table1_row
+
     check_limit(f"--n {args.n}: the group size n + 1 =", args.n + 1, MAX_GROUP_M)
     result = _row_result(table1_row(args.n))
     return {"target": "quadric", "n": args.n}, result, result["polynomial"]
 
 
 def cmd_segre_class(args) -> Outcome:
+    from . import segre
+
     space = _segre_space("--factors", args.factors)
     cls = segre.segre_class_pushforward(space)
     result = {"ambient_dim": segre.ambient_dim(space), "terms": cls.to_records()}
@@ -113,6 +121,8 @@ def cmd_group_degree(args) -> Outcome:
 
 
 def cmd_table(args) -> Outcome:
+    from .quadric import table1_row, table2
+
     if args.which == 1:
         rows = [{"n": n, **_row_result(table1_row(n))} for n in range(1, 5)]
         text = "\n".join(
@@ -127,18 +137,24 @@ def cmd_table(args) -> Outcome:
 
 
 def cmd_verify(args) -> Outcome:
+    from .tangent import run_tangent_checks
+
     check_limit("--samples", args.samples, MAX_TANGENT_SAMPLES)
     report = run_tangent_checks(seed=args.seed, samples=args.samples)
     return {"what": "tangents", "seed": args.seed, "samples": args.samples}, report.to_payload(), None
 
 
 def cmd_member(args) -> Outcome:
+    from .quadric import ProjMatrix, base_scheme_member
+
     phi = ProjMatrix.from_flat(args.matrix)
     member = base_scheme_member(phi)
     return {"matrix": [str(x) for x in args.matrix]}, {"member": member}, "true" if member else "false"
 
 
 def cmd_coeff(args) -> Outcome:
+    from . import segre
+
     space = _segre_space("--segre-factors", args.segre_factors)
     check_limit("--d", args.d, MAX_COEFF_DEGREE)
     cls = segre.segre_class_pushforward(space)
@@ -213,6 +229,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if text is None or args.json:
+        import json
+
         print(json.dumps(_json_ints({"command": args.command, "inputs": inputs, "result": result}), indent=2))
     else:
         print(text)

@@ -194,14 +194,6 @@ def random_projective_point(rng: random.Random, length: int) -> Vector:
             return tuple(a * scale // b for a, b in draws)
 
 
-def random_pencil(rng: random.Random) -> Matrix:
-    """Random 2x4 matrix of rank 2: two sampled points of P^3, redrawn until they are distinct."""
-    while True:
-        candidate = (random_projective_point(rng, MATRIX_SIDE), random_projective_point(rng, MATRIX_SIDE))
-        if rank(candidate) == 2:
-            return candidate
-
-
 @dataclass
 class CheckResult:
     name: str

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from predegree import cli, polynomial, segre
+from predegree import cli, polynomial, segre, tangent
 from predegree.polynomial import IntegralityError
 from predegree.tangent import CheckResult, TangentReport
 
@@ -159,15 +159,13 @@ def test_json_integers_past_64_bits_print_as_strings(capsys, seed, printed):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = TangentReport(0, 1, [CheckResult("stub", False, {})])
-    monkeypatch.setattr(cli, "run_tangent_checks", lambda seed, samples: failing)
+    monkeypatch.setattr(tangent, "run_tangent_checks", lambda seed, samples: failing)
     code, out, _ = run_cli(capsys, "verify", "tangents")
     assert code == 1
     assert json.loads(out)["result"]["all_passed"] is False
 
 
 def test_failing_battery_exits_with_its_payload(capsys, monkeypatch):
-    from predegree import tangent
-
     calls = []
 
     def check(p, q, k):
@@ -275,7 +273,7 @@ def test_group_size_limit_is_inclusive(capsys, monkeypatch):
 @pytest.mark.parametrize("samples", ["1001", "100000"])
 def test_tangent_samples_are_bounded(capsys, monkeypatch, samples):
     requested = []
-    monkeypatch.setattr(cli, "run_tangent_checks", lambda seed, samples: requested.append(samples))
+    monkeypatch.setattr(tangent, "run_tangent_checks", lambda seed, samples: requested.append(samples))
     code, out, err = run_cli(capsys, "verify", "tangents", "--samples", samples)
     assert code == 2
     assert out == "" and "limit of 1000" in err
@@ -283,14 +281,14 @@ def test_tangent_samples_are_bounded(capsys, monkeypatch, samples):
 
 
 def test_tangent_samples_limit_is_inclusive(capsys, monkeypatch):
-    # 1000 real samples take about 20 s; the stub records what the CLI asked for.
+    # 1000 real samples take about 7 s; the stub records what the CLI asked for.
     requested = []
 
     def stub(seed, samples):
         requested.append(samples)
         return TangentReport(seed, samples, [CheckResult("stub", True, {})])
 
-    monkeypatch.setattr(cli, "run_tangent_checks", stub)
+    monkeypatch.setattr(tangent, "run_tangent_checks", stub)
     for samples in ("200", "1000"):
         code, out, _ = run_cli(capsys, "verify", "tangents", "--samples", samples)
         assert code == 0 and json.loads(out)["result"]["all_passed"] is True

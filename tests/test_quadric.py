@@ -41,7 +41,7 @@ def random_point(rng, length):
             return candidate
 
 
-def random_pencil(rng):
+def random_nonzero_pencil(rng):
     while True:
         candidate = (random_point(rng, 4), random_point(rng, 4))
         if any(any(row) for row in candidate):
@@ -103,7 +103,7 @@ def test_point_condition_value_examples():
 def test_point_condition_vanishes_on_ruling_images():
     rng = random.Random(5)
     for _ in range(20):
-        p, xi = random_point(rng, 2), random_pencil(rng)
+        p, xi = random_point(rng, 2), random_nonzero_pencil(rng)
         q = random_point(rng, 4)
         assert point_condition_value(sigma1(p, xi), q) == 0
         assert point_condition_value(sigma2(p, xi), q) == 0
@@ -170,7 +170,7 @@ def test_sigma_rank_matches_pencil_rank():
     from predegree.linalg import rank as mat_rank
 
     for _ in range(20):
-        p, xi = random_point(rng, 2), random_pencil(rng)
+        p, xi = random_point(rng, 2), random_nonzero_pencil(rng)
         assert mat_rank(sigma1(p, xi).entries) == mat_rank(xi)
         assert mat_rank(sigma2(p, xi).entries) == mat_rank(xi)
 
@@ -198,7 +198,7 @@ def test_base_scheme_membership():
 def test_ruling_images_are_members():
     rng = random.Random(9)
     for _ in range(20):
-        p, xi = random_point(rng, 2), random_pencil(rng)
+        p, xi = random_point(rng, 2), random_nonzero_pencil(rng)
         assert base_scheme_member(sigma1(p, xi))
         assert base_scheme_member(sigma2(p, xi))
 
@@ -209,7 +209,7 @@ def test_membership_matches_point_condition_vanishing():
 
     rng = random.Random(13)
     for _ in range(10):
-        phi = sigma1(random_point(rng, 2), random_pencil(rng))
+        phi = sigma1(random_point(rng, 2), random_nonzero_pencil(rng))
         assert all(point_condition_value(phi, q) == 0 for q in POLARIZATION_POINTS)
 
 
@@ -309,7 +309,7 @@ def test_membership_matches_point_condition_vanishing_on_random_matrices():
         if index % 3 == 2:
             phi = ProjMatrix([random_point(rng, 4) for _ in range(4)])
         else:
-            phi = (sigma1, sigma2)[index % 3](random_point(rng, 2), random_pencil(rng))
+            phi = (sigma1, sigma2)[index % 3](random_point(rng, 2), random_nonzero_pencil(rng))
         member = base_scheme_member(phi)
         assert member == all(point_condition_value(phi, q) == 0 for q in POLARIZATION_POINTS)
         outcomes.add(member)
@@ -384,7 +384,7 @@ def test_membership_matches_point_condition_vanishing_for_a_second_gram():
         if index % 3 == 2:
             phi = ProjMatrix([random_point(rng, 4) for _ in range(4)])
         else:
-            phi = to_split_diagonal((sigma1, sigma2)[index % 3](random_point(rng, 2), random_pencil(rng)))
+            phi = to_split_diagonal((sigma1, sigma2)[index % 3](random_point(rng, 2), random_nonzero_pencil(rng)))
         member = base_scheme_member(phi, SPLIT_DIAGONAL)
         assert member == all(point_condition_value(phi, q, SPLIT_DIAGONAL) == 0 for q in POLARIZATION_POINTS)
         assert member == (index % 3 != 2)

@@ -5,7 +5,7 @@ import pytest
 
 from predegree import tangent
 from predegree.linalg import LinearSubspace, dot, flatten, rank
-from predegree.quadric import ProjMatrix, point_condition_gradient, sigma1, sigma2
+from predegree.quadric import MATRIX_SIDE, ProjMatrix, point_condition_gradient, sigma1, sigma2
 from predegree.linalg import rref
 from predegree.quadric import QuadricGram, point_condition_value
 from predegree.tangent import (
@@ -17,7 +17,6 @@ from predegree.tangent import (
     gradient_span,
     pencil_matrix,
     quadric_point,
-    random_pencil,
     random_projective_point,
     rank_one_matrix,
     rank_two_expected_span,
@@ -43,6 +42,14 @@ def coordinate_subspace(indices):
 
 def entry(i, j):
     return 4 * i + j
+
+
+def random_pencil(rng):
+    """Random 2x4 matrix of rank 2: two sampled points of P^3, redrawn until they are distinct."""
+    while True:
+        candidate = (random_projective_point(rng, MATRIX_SIDE), random_projective_point(rng, MATRIX_SIDE))
+        if rank(candidate) == 2:
+            return candidate
 
 
 def test_polarization_set():
