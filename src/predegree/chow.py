@@ -166,6 +166,8 @@ class ChowClass:
         return (-self) + other
 
     def __mul__(self, other) -> "ChowClass":
+        if isinstance(other, (int, Fraction)):
+            return ChowClass._built(self.ambient, [(e, c * other) for e, c in self.terms.items()])
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -190,8 +192,9 @@ class ChowClass:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def invert_unit(self) -> "ChowClass":

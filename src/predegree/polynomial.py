@@ -11,7 +11,8 @@ counts used to assemble the quadric tables.
 
 On P^N everything is an integer binomial series, so nothing here inverts a
 class: the twist by O(t) sends s_j H^j to s_j sum_k C(j+k-1, k) (-t)^k H^{j+k},
-and for d >= 1, a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j over the nonzero s_j.
+and for d >= 1, a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j over the nonzero s_j:
+each a_i costs one pass over the terms of the Segre class, in any order.
 """
 
 from __future__ import annotations
@@ -117,9 +118,13 @@ def _coefficients(n_total: int, d: int, segre_class: ChowClass, indices) -> list
         raise ValueError("the hypersurface degree d must be at least 1")
     if segre_class.ambient.factor_dims != (n_total,):
         raise ValueError("the Segre class must live on the same projective space")
+    terms = segre_class.terms.items()
     coeffs = []
     for i in indices:
-        value = d ** i - sum(comb(i, j) * d ** (i - j) * s_j for (j,), s_j in segre_class.terms.items() if j <= i)
+        value = d ** i
+        for (j,), s_j in terms:
+            if j <= i:
+                value -= comb(i, j) * d ** (i - j) * s_j
         if value.denominator != 1:
             raise IntegralityError(f"coefficient a_{i} evaluated to the non-integer {value}")
         coeffs.append(int(value))

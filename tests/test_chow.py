@@ -1,6 +1,7 @@
 from collections.abc import Hashable
 from enum import IntEnum
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,56 @@ def test_mul_truncation_examples():
     assert square == 1 + 2 * k(0) + 2 * k(1) + 2 * k(0) * k(1) + k(1, 2)
     with pytest.raises(ValueError):
         H() * k(0)
+
+
+SCALARS = st.one_of(
+    st.integers(-50, 50),
+    st.sampled_from([0, -1, True]),
+    st.fractions(min_value=-10, max_value=10, max_denominator=6),
+)
+
+
+@st.composite
+def product_classes(draw):
+    """A class on a product of 1-3 factors with int and Fraction coefficients."""
+    dims = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    exponents = st.tuples(*(st.integers(0, n) for n in dims))
+    coeffs = st.one_of(st.integers(-50, 50), st.fractions(min_value=-10, max_value=10, max_denominator=6))
+    return ChowClass(ProductSpace(dims), draw(st.dictionaries(exponents, coeffs, max_size=6)))
+
+
+def typed_terms(cls):
+    return [(exps, coeff, type(coeff)) for exps, coeff in cls.terms.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_classes(), SCALARS)
+def test_scalar_multiple_is_the_product_with_a_constant_class(cls, scalar):
+    constant = ChowClass(cls.ambient, {(0,) * cls.ambient.num_factors: scalar})
+    expected = typed_terms(cls * constant)
+    assert typed_terms(scalar * cls) == expected
+    assert typed_terms(cls * scalar) == expected
+    assert (0 * cls).terms == {} and (cls * Fraction(0)).terms == {}
+    with pytest.raises(TypeError):
+        0.5 * cls
+    with pytest.raises(TypeError):
+        cls * 0.5
+
+
+@pytest.mark.parametrize("n,products", [(0, 0), (1, 1), (2, 2), (3, 3), (15, 7), (16, 5)])
+def test_pow_squares_only_for_bits_still_to_come(monkeypatch, n, products):
+    x = 1 + H()
+    calls = []
+    mul = ChowClass.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(ChowClass, "__mul__", counting_mul)
+    power = x ** n
+    assert len(calls) == products
+    assert power.terms == {(j,): comb(n, j) for j in range(min(n, 15) + 1)}
 
 
 def test_invert_geometric_series():

@@ -50,6 +50,24 @@ def test_verify_loads_tangent():
     assert {"predegree.tangent", "json"} <= loaded
 
 
+@pytest.mark.parametrize(
+    "argv,output",
+    [("['member', '--matrix', '1' + ',0' * 15]", "true\n"), ("['predegree', 'quadric', '--n', '4']", "1 + 2t")],
+    ids=["member", "quadric-n4"],
+)
+def test_member_and_quadric_n4_load_neither_segre_nor_tangent(argv, output):
+    out, loaded = fresh_modules(f"from predegree import cli\ncli.main({argv})")
+    assert out.startswith(output)
+    assert "predegree.quadric" in loaded
+    assert loaded.isdisjoint({"predegree.segre", "predegree.tangent"})
+
+
+def test_quadric_p3_loads_segre():
+    out, loaded = fresh_modules("from predegree import cli\ncli.main(['predegree', 'quadric', '--n', '3'])")
+    assert out.startswith("1 + 2t + 4t^2")
+    assert "predegree.segre" in loaded
+
+
 def defining_modules() -> dict[str, list[str]]:
     """Each top-level name defined in a submodule's source -> the submodules that define it."""
     defined: dict[str, list[str]] = {}

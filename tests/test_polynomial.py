@@ -384,6 +384,54 @@ def test_polynomial_matches_generic_inversion(cls, d, data):
         assert poly.coeffs == tuple(expected) + (0,) * (n_total - orbit_dim)
 
 
+# Mostly non-positive integer s_j on P^N, N = n^2 + 2n, keep many coefficients non-negative.
+integer_classes = st.sampled_from([3, 8, 15]).flatmap(
+    lambda n: st.dictionaries(st.integers(0, n).map(lambda j: (j,)), st.integers(-9, 1), min_size=1, max_size=8).map(
+        lambda terms: ChowClass(ProductSpace((n,)), terms)
+    )
+)
+
+
+def coefficient_or_error(cls, d, i):
+    try:
+        return predegree_coefficient(cls.ambient.total_dim, d, cls, i)
+    except IntegralityError as error:
+        return str(error)
+
+
+@settings(max_examples=60, deadline=None)
+@given(projective_classes(st.integers(0, 15)), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_coefficients_do_not_depend_on_term_order(cls, d, rng):
+    items = list(cls.terms.items())
+    rng.shuffle(items)
+    orders = [ChowClass(cls.ambient, dict(items)), ChowClass(cls.ambient, dict(sorted(items, reverse=True)))]
+    for i in range(cls.ambient.total_dim + 1):
+        expected = coefficient_or_error(cls, d, i)
+        assert all(coefficient_or_error(other, d, i) == expected for other in orders)
+
+
+def test_fraction_class_raises_at_its_first_non_integral_index():
+    # a_1 = 2 - 2 and a_2 = 4 - 2*2*2 are integers; a_3 = 8 - 3*4*2 - 1/3 is not.
+    cls = ChowClass(P15, {(3,): Fraction(1, 3), (1,): Fraction(2)})
+    assert [predegree_coefficient(15, 2, cls, i) for i in range(3)] == [1, 0, -4]
+    assert all(type(predegree_coefficient(15, 2, cls, i)) is int for i in range(3))
+    for call in (lambda: predegree_coefficient(15, 2, cls, 3), lambda: predegree_from_segre(15, 2, cls, 9)):
+        with pytest.raises(IntegralityError, match=re.escape("coefficient a_3 evaluated to the non-integer -49/3")):
+            call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_classes, st.integers(1, 4), st.data())
+def test_polynomial_coefficients_are_the_single_coefficients(cls, d, data):
+    n_total = cls.ambient.total_dim
+    single = [predegree_coefficient(n_total, d, cls, i) for i in range(n_total + 1)]
+    # The longest prefix of non-negative coefficients is a valid orbit dimension (a_0 = 1 - s_0 >= 0).
+    prefix = next((i for i, c in enumerate(single) if c < 0), n_total + 1) - 1
+    orbit_dim = data.draw(st.integers(0, prefix))
+    poly = predegree_from_segre(n_total, d, cls, orbit_dim)
+    assert all(poly.coeffs[i] == single[i] and type(poly.coeffs[i]) is int for i in range(orbit_dim + 1))
+
+
 @pytest.mark.parametrize("ambient_dim", [1.0, 1.5, Fraction(1)])
 def test_non_index_ambient_dim_raises(ambient_dim):
     with pytest.raises(TypeError):
