@@ -38,8 +38,8 @@ MAX_SEGRE_BOX = 256
 # 2-core x86-64 box with Python 3.11, m = 100 takes about 40 ms, m = 150 0.35 s and m = 200 1.5 s,
 # so the limit keeps every accepted group size well under a second.
 MAX_GROUP_M = 100
-# In process on a 2-core x86-64 box with Python 3.11, run_tangent_checks(0, 200) takes 1.1-1.5 s, about
-# 7 ms a sample, and 1000 samples take about 7 s.
+# In process on a 2-core x86-64 box with Python 3.11, run_tangent_checks(0, 200) takes 0.57-0.72 s, about
+# 3 ms a sample, and 1000 samples take about 3 s.
 MAX_TANGENT_SAMPLES = 1000
 # a_i has about i * log10(d) digits: the largest answer within both limits has 766.
 MAX_COEFF_DEGREE = 1000

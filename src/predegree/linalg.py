@@ -6,10 +6,10 @@ Vectors are tuples of rationals and matrices are tuples of such row vectors.
 through ``Fraction``.  ``coerce`` applies it to inputs and ``ratio`` to computed
 quotients, so integer inputs stay integer to the answer.  One
 fraction-free integer elimination does every reduction: each row is coerced
-and cleared of denominators once, and rref and rank read their answer off it.
-Every other linear-algebra question the package asks (smoothness, subspace
-membership, the dimension of an intersection) is a rank.  There is no floating
-point and no tolerance anywhere in the package.
+and cleared of denominators once; a span keeps its pivot rows made primitive
+and rank counts them.  Every other linear-algebra question the package asks
+(smoothness, subspace membership, the dimension of an intersection) is a
+rank.  There is no floating point and no tolerance anywhere in the package.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
@@ -70,14 +70,14 @@ def flatten(m: Matrix) -> Vector:
     return tuple(x for row in m for x in row)
 
 
-def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
+def _eliminate(rows: Iterable[Sequence]) -> list[list[int]]:
     """Fraction-free Gauss-Jordan elimination over the integers (Bareiss).
 
     Each row is coerced and multiplied once by the lcm of its denominators (1
     for an int row).  Each pivot d (previous pivot prev) turns every other row
     into (d*a - f*b) // prev, an exact division because every entry is a minor
     of the cleared matrix.  Returns the pivot rows in order of their pivot
-    columns, every pivot equal to the last one d, and d.
+    columns, multiples of the reduced echelon rows with one common pivot.
     """
     work = []
     for row in rows:
@@ -103,24 +103,19 @@ def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
                 work[i] = [(d * a - f * b) // prev for a, b in zip(row, top)]
         prev = d
         found += 1
-    return work[:found], prev
-
-
-def rref(rows: Iterable[Sequence]) -> Matrix:
-    """Reduced row echelon form with zero rows dropped; integral entries are ints."""
-    pivot_rows, d = _eliminate(rows)
-    return tuple(tuple(ratio(x, d) for x in row) for row in pivot_rows)
+    return work[:found]
 
 
 def rank(rows: Iterable[Sequence]) -> int:
-    return len(_eliminate(rows)[0])
+    return len(_eliminate(rows))
 
 
 @dataclass(frozen=True)
 class LinearSubspace:
     """Linear span inside a fixed coordinate space.
 
-    The basis is kept in reduced row echelon form, so two subspaces are equal
+    The basis is the reduced row echelon form with each row scaled to the
+    primitive integer row whose pivot is positive, so two subspaces are equal
     as dataclasses exactly when they are equal as subspaces.
     """
 
@@ -139,7 +134,11 @@ class LinearSubspace:
             raise ValueError("the ambient dimension cannot be negative")
         if any(len(v) != ambient_dim for v in vs):
             raise ValueError("vector length does not match the ambient dimension")
-        return cls(ambient_dim, rref(vs))
+        basis = []
+        for row in _eliminate(vs):
+            content = gcd(*row) if next(filter(None, row)) > 0 else -gcd(*row)
+            basis.append(tuple(x // content for x in row))
+        return cls(ambient_dim, tuple(basis))
 
     def dim(self) -> int:
         return len(self.basis)

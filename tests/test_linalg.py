@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,6 @@ from predegree.linalg import (
     mat_vec,
     outer,
     rank,
-    rref,
     transpose,
 )
 
@@ -33,23 +33,26 @@ def test_mat_mul_and_transpose():
     assert flatten(a) == (1, 2, 3, 4)
 
 
+def basis(rows):
+    return LinearSubspace.span(rows, len(rows[0]) if rows else 0).basis
+
+
 def test_rref_and_rank():
     rows = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
-    reduced = rref(rows)
-    assert len(reduced) == 2
+    assert basis(rows) == ((1, 0, -1), (0, 1, 2))
     assert rank(rows) == 2
-    assert rref([[0, 0], [0, 0]]) == ()
+    assert basis([[0, 0], [0, 0]]) == ()
 
 
-def test_integral_rref_entries_are_ints():
-    reduced = rref([[2, 4, 6], [1, 3, 4]])
-    assert reduced == ((1, 0, 1), (0, 1, 1))
-    assert {type(x) for row in reduced for x in row} == {int}
-    assert [type(x) for x in rref([["1/2", 1]])[0]] == [int, int]
-    (row,) = rref([[3, 1]])
-    assert row == (1, Fraction(1, 3))
-    assert [type(x) for x in row] == [int, Fraction]
-    assert all(type(x) is int for row in rref([["1/2", 1], [1, 2]]) for x in row)
+def test_span_basis_entries_are_ints():
+    assert basis([[2, 4, 6], [1, 3, 4]]) == ((1, 0, 1), (0, 1, 1))
+    # the reduced row (1, 1/3) is kept as its primitive integer multiple
+    assert basis([[3, 1]]) == ((3, 1),)
+    assert basis([[-6, -2]]) == basis([["-1/2", Fraction(-1, 6)]]) == ((3, 1),)
+    assert basis([["1/2", 1], [1, 2]]) == ((1, 2),)
+    assert basis([[Fraction(2, 3), "1/5", 0], [0, "7/3", 1]]) == ((70, 0, -9), (0, 7, 3))
+    for rows in ([["1/2", 1]], [[3, 1]], [[Fraction(2, 3), "1/5", 0], [0, "7/3", 1]]):
+        assert {type(x) for row in basis(rows) for x in row} == {int}
 
 
 def test_span_and_contains_accept_strings_and_fractions():
@@ -69,6 +72,13 @@ def test_subspace_span_and_equality():
     assert u.dim() - 1 == 1
     assert u.contains([5, -7, 0])
     assert not u.contains([0, 0, 1])
+
+
+def test_span_basis_pivots_are_positive():
+    assert LinearSubspace.span([[-1, 2]]) == LinearSubspace.span([[1, -2]])
+    assert hash(LinearSubspace.span([[-1, 2]])) == hash(LinearSubspace.span([[1, -2]]))
+    assert basis([[-1, 2]]) == ((1, -2),)
+    assert basis([[0, -3, 6], [-2, 0, 1]]) == ((2, 0, -1), (0, 1, -2))
 
 
 def test_subspace_validation():
@@ -110,12 +120,20 @@ def rref_reference(rows):
 
 
 def contains_reference(space, v):
-    """Reduce v by the reduced basis and test for zero."""
+    """Reduce v by the echelon basis, dividing by each pivot, and test for zero."""
     reduced = list(map(Fraction, v))
     for row in space.basis:
         p = next(j for j, x in enumerate(row) if x != 0)
-        reduced = [a - reduced[p] * b for a, b in zip(reduced, row)]
+        reduced = [a - reduced[p] / row[p] * b for a, b in zip(reduced, row)]
     return all(x == 0 for x in reduced)
+
+
+def primitive(row):
+    """A rational row scaled to the integer row with content 1 and a positive pivot."""
+    scale = lcm(*(Fraction(x).denominator for x in row))
+    ints = [int(x * scale) for x in row]
+    content = gcd(*ints) if next(filter(None, ints)) > 0 else -gcd(*ints)
+    return tuple(x // content for x in ints)
 
 
 def to_sympy(rows, ncols):
@@ -158,15 +176,17 @@ SAME_WIDTH = st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), matrices(
 @example([(0, 0)])  # a zero matrix: its kernel is the whole space
 @example([(0, Fraction(1, 2), 1), (Fraction(1, 3), 1, 0), (2, 0, Fraction(-1, 5))])  # needs a row swap
 def test_rref_rank_and_nullspace_match_sympy_and_reference(rows):
-    reduced = rref(rows)
-    assert reduced == rref_reference(rows)
+    reduced = basis(rows)
+    assert reduced == tuple(map(primitive, rref_reference(rows)))
+    assert {type(x) for row in reduced for x in row} <= {int}
     assert rank(rows) == len(reduced)
     if not rows:
         return
     ncols = len(rows[0])
     expected, pivots = to_sympy(rows, ncols).rref()
-    assert reduced == tuple(tuple(from_sympy(x) for x in expected.row(i)) for i in range(len(pivots)))
-    # rank-nullity against sympy's kernel, which the reduced rows annihilate
+    sympy_rows = [tuple(from_sympy(x) for x in expected.row(i)) for i in range(len(pivots))]
+    assert reduced == tuple(map(primitive, sympy_rows))
+    # rank-nullity against sympy's kernel, which the basis rows annihilate
     kernel = [tuple(from_sympy(x) for x in v) for v in to_sympy(rows, ncols).nullspace()]
     assert len(kernel) == ncols - rank(rows)
     assert all(dot(row, v) == 0 for row in reduced for v in kernel)
@@ -174,6 +194,7 @@ def test_rref_rank_and_nullspace_match_sympy_and_reference(rows):
 
 @settings(max_examples=40, deadline=None)
 @given(SAME_WIDTH)
+@example((2, [(2, 1)], [(4, 2)]))  # inside a span whose pivot is 2, not 1
 def test_contains_matches_sympy_and_reference(drawn):
     ncols, rows, candidates = drawn
     space = LinearSubspace.span(rows, ncols)
@@ -183,6 +204,30 @@ def test_contains_matches_sympy_and_reference(drawn):
         assert inside == (to_sympy(rows + [v], ncols).rank() == to_sympy(rows, ncols).rank())
     for v in rows:
         assert space.contains(v)
+
+
+@st.composite
+def invertible_matrices(draw, n):
+    """P L U for a permutation P, L lower triangular with a nonzero diagonal and U
+    upper unitriangular: an integer matrix that is invertible over the rationals."""
+    small = st.integers(-3, 3)
+    lower = [[draw(small) if j < i else draw(small.filter(bool)) if j == i else 0 for j in range(n)] for i in range(n)]
+    upper = [[draw(small) if j > i else int(j == i) for j in range(n)] for i in range(n)]
+    product = mat_mul(lower, upper)
+    return [product[i] for i in draw(st.permutations(range(n)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), matrices(ncols=n))), st.data())
+def test_span_is_canonical_under_invertible_row_operations(drawn, data):
+    ncols, rows = drawn
+    mixed = mat_mul(data.draw(invertible_matrices(len(rows))), rows) if rows else ()
+    space = LinearSubspace.span(rows, ncols)
+    assert LinearSubspace.span(mixed, ncols) == space
+    assert hash(LinearSubspace.span(mixed, ncols)) == hash(space)
+    for row in space.basis:
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) == 1 and next(filter(None, row)) > 0
 
 
 def test_exact_keeps_exact_numbers_and_refuses_floats():
@@ -207,9 +252,8 @@ def test_span_needs_an_integral_ambient_dim():
 
 
 def test_rows_of_unequal_length_raise():
-    for reduce in (rref, rank):
-        with pytest.raises(ValueError, match="unequal length"):
-            reduce([[1, 2], [3]])
+    with pytest.raises(ValueError, match="unequal length"):
+        rank([[1, 2], [3]])
 
 
 def test_span_needs_a_non_negative_ambient_dim():

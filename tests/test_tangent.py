@@ -6,7 +6,6 @@ import pytest
 from predegree import tangent
 from predegree.linalg import LinearSubspace, dot, flatten, rank
 from predegree.quadric import MATRIX_SIDE, ProjMatrix, point_condition_gradient, sigma1, sigma2
-from predegree.linalg import rref
 from predegree.quadric import QuadricGram, point_condition_value
 from predegree.tangent import (
     CANONICAL_INTERSECTION,
@@ -206,6 +205,27 @@ def test_verify_gradient_rank_canonical_and_random():
         )
 
 
+def test_tangent_bases_hold_only_ints():
+    # every point, direction and gradient on the tangent path is an int, and
+    # so is every basis row made from them
+    def int_basis(space):
+        return all(type(x) is int for row in space.basis for x in row)
+
+    def check_point(p, q, k):
+        assert int_basis(gradient_span(rank_one_matrix(p, q, k)))
+        assert int_basis(tangent_ruling_component(1, q, pencil_matrix(p, k)))
+        assert int_basis(tangent_ruling_component(2, p, pencil_matrix(q, k)))
+        assert int_basis(tangent_intersection_locus(p, q, k))
+
+    check_point(*CANONICAL_RANK_ONE)
+    check_point(*CANONICAL_INTERSECTION)
+    assert int_basis(gradient_span(sigma_normal_form()))
+    assert int_basis(tangent_ruling_component(1, *RANK_TWO_NORMAL_FORM))
+    rng = random.Random(59)
+    for _ in range(10):
+        check_point(*(random_projective_point(rng, length) for length in (2, 2, MATRIX_SIDE)))
+
+
 def test_gradient_rank_distinguishes_strata():
     # rank-two points of the ruling components have a seven-dimensional
     # gradient span instead of four
@@ -330,7 +350,7 @@ FLOAT_INPUTS = {
     "ProjMatrix": lambda: ProjMatrix(ROWS_WITH_A_FLOAT),
     "from_flat": lambda: ProjMatrix.from_flat([0.5] + [0] * 15),
     "QuadricGram": lambda: QuadricGram(ROWS_WITH_A_FLOAT),
-    "rref": lambda: rref([[1, 0.1]]),
+    "rank": lambda: rank([[1, 0.1]]),
     "LinearSubspace.span": lambda: LinearSubspace.span([[1, 0.1]]),
     "point_condition_value": lambda: point_condition_value(IDENTITY, (1, 0, 0, 0.1)),
     "sigma1": lambda: sigma1((1, 0.5), ((1, 0, 0, 0), (0, 1, 0, 0))),
