@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 integrality failure.
 
 ``import predegree`` loads submodules on first use, and each command loads
-only the modules it runs: every command needs ``polynomial`` (with ``chow`` and
-``linalg``), imported here, while a cmd_* that needs ``quadric``, ``segre`` or
-``tangent`` imports it itself, and main loads ``json`` only to print a payload.
+only the modules it runs: every command needs ``polynomial``, imported here,
+while a cmd_* that needs ``quadric``, ``segre`` or ``tangent`` imports it itself
+(``chow`` and ``linalg`` come with them), and main loads ``json`` only to print
+a payload.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .chow import ProductSpace
 from .polynomial import IntegralityError, deg_po, deg_so, format_polynomial, predegree_coefficient
 
 EXIT_OK = 0
@@ -81,6 +81,7 @@ parse_rational_list = _list_parser(Fraction, "comma-separated rationals")
 
 def _segre_space(flag: str, factors: list[int]) -> ProductSpace:
     from . import segre
+    from .chow import ProductSpace
 
     space = ProductSpace(tuple(factors))
     box = segre.ambient_dim(space) + 1

@@ -22,8 +22,6 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 from operator import index
 
-from .chow import ChowClass
-
 
 class IntegralityError(ArithmeticError):
     """A quantity that must be an integer came out fractional.
@@ -103,7 +101,7 @@ def tensor_class(cls: ChowClass, twist: int) -> ChowClass:
             continue
         for k in range(ambient.total_dim - j + 1):
             twisted[j + k] += s_j * comb(j + k - 1, k) * (-twist) ** k
-    return ChowClass._built(ambient, [((c,), value) for c, value in enumerate(twisted)])
+    return cls._built(ambient, [((c,), value) for c, value in enumerate(twisted)])
 
 
 def _coefficients(n_total: int, d: int, segre_class: ChowClass, indices) -> list[int]:

@@ -15,7 +15,6 @@ import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .chow import ChowClass, ProductSpace
 from .linalg import Matrix, Rational, Vector, coerce, dot, flatten, mat_mul, mat_vec, outer
 from .linalg import rank, ratio, transpose
 from .polynomial import (
@@ -178,6 +177,7 @@ def doubled_ruling_segre_class() -> ChowClass:
     components contribute the same pushed-forward Segre class, so the sum is
     twice the class of one P^1 x P^7."""
     from . import segre
+    from .chow import ProductSpace
 
     return 2 * segre.segre_class_pushforward(ProductSpace((1, 7)))
 

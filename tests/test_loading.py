@@ -1,13 +1,15 @@
 """The loading contract: a fresh process loads only the modules its command runs.
 
-``import predegree`` loads no submodule, and the command line loads ``quadric``,
-``segre``, ``tangent`` and ``json`` only for the commands that use them.  Each
+``import predegree`` loads no submodule, ``import predegree.cli`` loads only
+``cli`` and ``polynomial``, and each command loads ``chow``, ``linalg``,
+``quadric``, ``segre``, ``tangent`` and ``json`` only if it runs them.  Each
 check runs in a fresh interpreter, because this test process has loaded every
 module already.
 """
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +20,15 @@ import pytest
 import predegree
 
 SRC = Path(predegree.__file__).resolve().parent.parent
-DEFERRED = {"predegree.quadric", "predegree.segre", "predegree.tangent", "json"}
+GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "bench" / "cli_golden.json").read_text())
+DEFERRED = {"predegree.chow", "predegree.linalg", "predegree.quadric", "predegree.segre", "predegree.tangent", "json"}
+
+CLI = {"predegree.cli", "predegree.polynomial"}
+QUADRIC = CLI | {"predegree.linalg", "predegree.quadric"}
+SEGRE = CLI | {"predegree.chow", "predegree.linalg", "predegree.segre"}
+MEMBER_1000 = "member --matrix 1" + ",0" * 15
+# Each command's stdout: the golden bytes, or the value given here.
+STDOUT = {**GOLDEN, "deg-so --m 5": "384\n", "deg-po --m 4": "40\n", MEMBER_1000: "true\n"}
 
 
 def fresh_modules(code: str) -> tuple[str, set[str]]:
@@ -35,37 +45,34 @@ def test_import_predegree_loads_no_submodule():
 
 
 def test_import_cli_defers_quadric_segre_tangent_and_json():
-    assert fresh_modules("import predegree.cli")[1].isdisjoint(DEFERRED)
-
-
-def test_deg_so_loads_none_of_the_deferred_modules():
-    out, loaded = fresh_modules("from predegree import cli\ncli.main(['deg-so', '--m', '5'])")
-    assert out == "384\n"
+    loaded = fresh_modules("import predegree.cli")[1]
+    assert loaded == CLI
     assert loaded.isdisjoint(DEFERRED)
 
 
-def test_verify_loads_tangent():
-    out, loaded = fresh_modules("from predegree import cli\ncli.main(['verify', 'tangents', '--samples', '1'])")
-    assert '"all_passed": true' in out
-    assert {"predegree.tangent", "json"} <= loaded
-
-
 @pytest.mark.parametrize(
-    "argv,output",
-    [("['member', '--matrix', '1' + ',0' * 15]", "true\n"), ("['predegree', 'quadric', '--n', '4']", "1 + 2t")],
-    ids=["member", "quadric-n4"],
+    "command,modules",
+    [
+        ("deg-so --m 5", CLI),
+        ("deg-po --m 4", CLI),
+        ("deg-so --m 60 --json", CLI | {"json"}),
+        ("segre-class --factors 3,7", SEGRE),
+        ("coeff --i 8 --double", SEGRE),
+        (MEMBER_1000, QUADRIC),
+        ("predegree quadric --n 4", QUADRIC),
+        ("predegree quadric --n 4 --json", QUADRIC | {"json"}),
+        ("predegree quadric --n 3", QUADRIC | SEGRE),
+        ("table --which 1", QUADRIC | SEGRE),
+        ("table --which 2", QUADRIC | SEGRE),
+        ("verify tangents --seed 0 --samples 20", QUADRIC | {"predegree.tangent", "json"}),
+    ],
+    ids=["deg-so", "deg-po", "deg-so-json", "segre-class", "coeff", "member", "quadric-n4", "quadric-n4-json",
+         "quadric-n3", "table-1", "table-2", "verify"],
 )
-def test_member_and_quadric_n4_load_neither_segre_nor_tangent(argv, output):
-    out, loaded = fresh_modules(f"from predegree import cli\ncli.main({argv})")
-    assert out.startswith(output)
-    assert "predegree.quadric" in loaded
-    assert loaded.isdisjoint({"predegree.segre", "predegree.tangent"})
-
-
-def test_quadric_p3_loads_segre():
-    out, loaded = fresh_modules("from predegree import cli\ncli.main(['predegree', 'quadric', '--n', '3'])")
-    assert out.startswith("1 + 2t + 4t^2")
-    assert "predegree.segre" in loaded
+def test_each_command_loads_exactly_its_modules(command, modules):
+    out, loaded = fresh_modules(f"from predegree import cli\ncli.main({command.split()!r})")
+    assert out == STDOUT[command]
+    assert loaded == modules
 
 
 def defining_modules() -> dict[str, list[str]]:
