@@ -6,9 +6,9 @@ pulled back from the i-th factor.  Classes are stored sparsely as exponent tuple
 coefficient.  Terms are checked once, at the public constructor ``ChowClass(...)``:
 exponents pass ``operator.index`` (a float or ``Fraction`` raises TypeError), a wrong
 length, then a negative exponent, raises ValueError, and a term past the truncation is
-dropped.  Results the package builds are not re-checked: ``ChowClass._built`` only drops
-their zero terms.  Coefficients pass ``linalg.exact``, the package's one number rule: an
-``int`` stays an ``int`` and a ``Fraction`` a ``Fraction``, so integer classes stay integer.
+dropped.  Spaces and classes the package builds skip ``__post_init__`` through ``_trusted``
+(``ChowClass._built`` drops zero terms).  An ``int`` or ``Fraction`` coefficient is kept, so
+integer classes stay integer; any other passes ``linalg.exact``, the one number rule, imported then.
 A class may mix codimensions, of total exponent per term.
 
 Values are immutable once built and every operation returns a new class, so
@@ -20,9 +20,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .linalg import Rational, exact
+if TYPE_CHECKING:
+    from .linalg import Rational
 
 Exponents = tuple[int, ...]
 
@@ -55,6 +56,12 @@ class ProductSpace:
         return self.factor_dims
 
 
+def _trusted(cls, **fields):
+    built = object.__new__(cls)
+    vars(built).update(fields)
+    return built
+
+
 def _normalize(ambient: ProductSpace, items: Iterable[tuple[Exponents, Rational]]) -> dict:
     dims = ambient.factor_dims
     terms: dict[Exponents, Rational] = {}
@@ -67,7 +74,10 @@ def _normalize(ambient: ProductSpace, items: Iterable[tuple[Exponents, Rational]
         if any(map(operator.gt, exps, dims)):
             # h_i^{n_i+1} = 0, so the monomial vanishes in the quotient.
             continue
-        terms[exps] = terms.get(exps, 0) + exact(coeff)
+        if not isinstance(coeff, (int, Fraction)):
+            from .linalg import exact
+            coeff = exact(coeff)
+        terms[exps] = terms.get(exps, 0) + coeff
     return {e: c for e, c in terms.items() if c}
 
 
@@ -90,9 +100,7 @@ class ChowClass:
     def _built(cls, ambient: ProductSpace, items: Iterable[tuple[Exponents, Rational]]) -> "ChowClass":
         """Class from terms the package built: distinct exponent tuples of plain ints inside the
         truncation, with int or Fraction coefficients (not checked); zero terms are dropped."""
-        built = object.__new__(cls)
-        vars(built).update(ambient=ambient, terms={exps: coeff for exps, coeff in items if coeff})
-        return built
+        return _trusted(cls, ambient=ambient, terms={exps: coeff for exps, coeff in items if coeff})
 
     @classmethod
     def zero(cls, ambient: ProductSpace) -> "ChowClass":

@@ -12,8 +12,8 @@ integrality failure.
 ``import predegree`` loads submodules on first use, and each command loads
 only the modules it runs: every command needs ``polynomial``, imported here,
 while a cmd_* that needs ``quadric``, ``segre`` or ``tangent`` imports it itself
-(``chow`` and ``linalg`` come with them), and main loads ``json`` only to print
-a payload.
+(``chow`` comes with ``segre``, ``linalg`` with the other two), and main loads
+``json`` only to print a payload.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ EXIT_INTEGRALITY = 3
 _INT64_MAX = 2**63 - 1
 
 # The Segre class costs about d^2 small products, d = sum n_i; within this limit on prod(n_i + 1) the
-# heaviest inputs take 11-17 ms (0,255), 2-3 ms (1,127) and 0.15-0.25 ms (15,15) in process.
+# heaviest inputs take 7-12 ms (0,255), 1.4-2.3 ms (1,127) and 0.12-0.21 ms (15,15) in process.
 MAX_SEGRE_BOX = 256
 # deg SO(m) takes O(m^2) exact steps on integers of up to a few thousand bits: in process on a
 # 2-core x86-64 box with Python 3.11, m = 100 takes about 40 ms, m = 150 0.35 s and m = 200 1.5 s,

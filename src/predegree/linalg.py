@@ -7,9 +7,9 @@ through ``Fraction``.  ``coerce`` applies it to inputs and ``ratio`` to computed
 quotients, so integer inputs stay integer to the answer.  One
 fraction-free integer elimination does every reduction: each row is coerced
 and cleared of denominators once; a span keeps its pivot rows made primitive
-and rank counts them.  Every other linear-algebra question the package asks
-(smoothness, subspace membership, the dimension of an intersection) is a
-rank.  There is no floating point and no tolerance anywhere in the package.
+and rank counts them after a forward-only sweep.  Every other linear-algebra
+question the package asks (smoothness, subspace membership, the dimension of an
+intersection) is a rank.  There is no floating point and no tolerance anywhere in the package.
 """
 
 from __future__ import annotations
@@ -70,14 +70,14 @@ def flatten(m: Matrix) -> Vector:
     return tuple(x for row in m for x in row)
 
 
-def _eliminate(rows: Iterable[Sequence]) -> list[list[int]]:
+def _eliminate(rows: Iterable[Sequence], full: bool = True) -> list[list[int]]:
     """Fraction-free Gauss-Jordan elimination over the integers (Bareiss).
 
     Each row is coerced and multiplied once by the lcm of its denominators (1
-    for an int row).  Each pivot d (previous pivot prev) turns every other row
-    into (d*a - f*b) // prev, an exact division because every entry is a minor
-    of the cleared matrix.  Returns the pivot rows in order of their pivot
-    columns, multiples of the reduced echelon rows with one common pivot.
+    for an int row).  Each pivot d (previous pivot prev) turns every other row,
+    or only the rows below it when not full, into (d*a - f*b) // prev, exact
+    because every entry is a minor of the cleared matrix.  Returns the pivot rows
+    by pivot column: when full, multiples of the reduced echelon rows with one pivot.
     """
     work = []
     for row in rows:
@@ -98,7 +98,7 @@ def _eliminate(rows: Iterable[Sequence]) -> list[list[int]]:
         top = work[found]
         d = top[col]
         for i, row in enumerate(work):
-            if i != found:
+            if i > found or (full and i < found):
                 f = row[col]
                 work[i] = [(d * a - f * b) // prev for a, b in zip(row, top)]
         prev = d
@@ -107,7 +107,7 @@ def _eliminate(rows: Iterable[Sequence]) -> list[list[int]]:
 
 
 def rank(rows: Iterable[Sequence]) -> int:
-    return len(_eliminate(rows))
+    return len(_eliminate(rows, full=False))
 
 
 @dataclass(frozen=True)

@@ -3,19 +3,18 @@ monomial classes along a Segre embedding, the inverse Chern class of the normal 
 to the embedded product, and the pushed-forward Segre class of the image, all as
 integer series with no product, power or inverse in the Chow ring.
 
-The Segre class of the image of X = P^{n_1} x ... x P^{n_r} in P^m needs only the
-d + 1 degrees deg c_j(TX) H^{d-j}, d = sum n_i: one product of r univariate
-polynomials gives them, and one convolution with (-1)^t C(m + t, t) gives the class,
-about d^2 small integer products with no pass over the exponent box prod(n_i + 1).
+The Segre class of the image of X = P^{n_1} x ... x P^{n_r} in P^m needs only the d + 1 degrees
+deg c_j(TX) H^{d-j}, d = sum n_i: one product of r univariate polynomials gives them, and one convolution
+with (-1)^t C(m + t, t) gives the class: about d^2 small integer products, no pass over the box prod(n_i + 1).
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import comb, factorial, perm, prod
+from math import comb, factorial, prod
 from operator import index, mul
 
-from .chow import ChowClass, ProductSpace
+from .chow import ChowClass, ProductSpace, _trusted
 
 
 def ambient_dim(space: ProductSpace) -> int:
@@ -81,22 +80,25 @@ def normal_inverse_chern(space: ProductSpace) -> ChowClass:
 
 def segre_class_pushforward(space: ProductSpace) -> ChowClass:
     """Pushed-forward Segre class of the Segre-embedded product, leading term deg(image) * H^codim.
-    For the smooth image X it is c(TX) c(TP^m)^{-1} capped with [X], so it needs only alpha_j =
-    deg c_j(TX) H^{d-j} = (d - j)! [x^j] prod Q_i / prod n_i! (d = sum n_i), Q_i(x) = sum_e
-    C(n_i + 1, e) n_i!/(n_i - e)! x^e; then H^{m-d+k} has coefficient sum_{j<=k} (-1)^{k-j}
-    C(m + k - j, k - j) alpha_j: about d^2 small integer products, with no exponent box."""
+    For the smooth image X it is c(TX) c(TP^m)^{-1} capped with [X], so it needs only alpha_j = deg c_j(TX) H^{d-j}
+    = (d - j)! [x^j] prod Q_i / prod n_i! (d = sum n_i), Q_i(x) = sum_e q_e x^e with q_e = C(n_i + 1, e) n_i!/(n_i - e)!
+    = q_{e-1} (n_i + 2 - e)(n_i + 1 - e) / e; then H^{m-d+k} has coefficient sum_{j<=k} inv_{k-j} alpha_j with inv_t =
+    (-1)^t C(m + t, t) = -inv_{t-1} (m + t) / t, and each (d - j)! is one factorial divided down: d^2 small products."""
     if space.num_factors < 2:
         raise ValueError("a Segre embedding needs at least two factors")
-    dims, total, m = space.factor_dims, space.total_dim, ambient_dim(space)
-    chern = [1]
+    dims, total, m, chern = space.factor_dims, space.total_dim, ambient_dim(space), [1]
     for n in dims:
-        grown = [0] * (len(chern) + n)
-        for e, q in enumerate(comb(n + 1, e) * perm(n, e) for e in range(n + 1)):
+        grown, q = [0] * (len(chern) + n), 1
+        for e in range(n + 1):
             for at, c in enumerate(chern, e):
                 grown[at] += q * c
+            q = q * (n + 1 - e) * (n - e) // (e + 1)
         chern = grown
-    scale = prod(map(factorial, dims))
-    alpha = [factorial(total - j) * c // scale for j, c in enumerate(chern)]
-    inverse = [(-1) ** t * comb(m + t, t) for t in range(total + 1)]
-    pushed = [sum(map(mul, inverse[k::-1], alpha)) for k in range(total + 1)]
-    return ChowClass._built(ProductSpace((m,)), [((m - total + k,), value) for k, value in enumerate(pushed)])
+    alpha, inverse, scale, f, inv = [], [], prod(map(factorial, dims)), factorial(total + 1), 1
+    for j, c in enumerate(chern):
+        f //= total + 1 - j
+        alpha.append(f * c // scale)
+        inverse.append(inv)
+        inv = -inv * (m + j + 1) // (j + 1)
+    terms = {(m - total + k,): v for k in range(total + 1) if (v := sum(map(mul, inverse[k::-1], alpha)))}
+    return _trusted(ChowClass, ambient=_trusted(ProductSpace, factor_dims=(m,)), terms=terms)

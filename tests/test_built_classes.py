@@ -1,8 +1,9 @@
 """Classes the package builds itself skip the public constructor's checks.
 
 Every such result must still be exactly what the checked path would make of
-its terms: these tests rebuild each result through ``ChowClass(...)`` and
-compare term by term, coefficient type included.
+its terms and its ambient space: these tests rebuild each result through
+``ChowClass(...)`` and ``ProductSpace(...)`` and compare term by term,
+coefficient type included, and dimension by dimension.
 """
 
 from fractions import Fraction
@@ -15,6 +16,8 @@ from predegree.chow import ChowClass, ProductSpace
 from predegree.polynomial import tensor_class
 from predegree.segre import normal_inverse_chern, pushforward_class, segre_class_pushforward
 
+from test_segre import SMALL_FACTOR_TUPLES
+
 COEFFS = st.one_of(
     st.integers(-50, 50),
     st.fractions(min_value=-10, max_value=10, max_denominator=6),
@@ -22,7 +25,10 @@ COEFFS = st.one_of(
 
 
 def assert_canonical(r):
-    """r is what the public constructor makes of r's own terms."""
+    """r is what the public constructors make of r's own ambient space and terms."""
+    checked = ProductSpace(r.ambient.factor_dims)
+    assert r.ambient == checked and hash(r.ambient) == hash(checked)
+    assert type(r.ambient.factor_dims) is tuple and all(type(n) is int for n in r.ambient.factor_dims)
     rebuilt = ChowClass(r.ambient, dict(r.terms))
     typed = {e: (c, type(c)) for e, c in r.terms.items()}
     assert typed == {e: (c, type(c)) for e, c in rebuilt.terms.items()}
@@ -89,3 +95,9 @@ def test_cancelling_sums_keep_no_zero_terms(n, data):
     opposite = ChowClass(space, {e: -Fraction(c) for e, c in terms.items()})
     for r in (a + opposite, opposite + a, a - a, a * 0, 0 * a, (a + opposite).codim_part(0)):
         assert r.is_zero and r.terms == {}
+
+
+def test_segre_classes_of_every_small_product_are_canonical():
+    # segre_class_pushforward builds its target space P^m past ProductSpace's checks.
+    for dims in SMALL_FACTOR_TUPLES:
+        assert_canonical(segre_class_pushforward(ProductSpace(dims)))
