@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Each cmd_* function returns (inputs, result, text).  main prints the text, or
-under --json the payload {"command": ..., "inputs": {...}, "result": {...}};
-verify has no text and always prints the payload.  main alone serializes: every
-integer in the payload is a JSON number when it fits in 64 bits (a decimal
-string otherwise); rationals, and segre-class term coefficients, are strings.
+Each cmd_* function returns (result, text).  main prints the text, or under --json
+the payload {"command": ..., "inputs": {...}, "result": {...}}, whose inputs are the
+parsed arguments; verify has no text and always prints the payload.  main alone
+serializes, by one rule: an integer is a JSON number if it fits in 64 bits, else a
+decimal string, and a rational is its string ("1/2"), as is each segre-class coefficient.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 integrality failure.
@@ -44,17 +44,17 @@ MAX_TANGENT_SAMPLES = 1000
 # a_i has about i * log10(d) digits: the largest answer within both limits has 766.
 MAX_COEFF_DEGREE = 1000
 
-# What every cmd_* returns: (inputs, result, text); text is None where the command prints only JSON.
-Outcome = tuple[dict, dict, str | None]
+# What every cmd_* returns: (result, text); text is None where the command prints only JSON.
+Outcome = tuple[dict, str | None]
 
 
 def _json_ints(value):
-    """The payload with every integer past 64 bits as a decimal string; the rest passes unchanged."""
+    """The payload with every integer past 64 bits and every rational as a string; the rest passes unchanged."""
     if isinstance(value, dict):
         return {key: _json_ints(item) for key, item in value.items()}
     if isinstance(value, list):
         return [_json_ints(item) for item in value]
-    if isinstance(value, int) and not -_INT64_MAX - 1 <= value <= _INT64_MAX:
+    if isinstance(value, Fraction) or (isinstance(value, int) and not -_INT64_MAX - 1 <= value <= _INT64_MAX):
         return str(value)
     return value
 
@@ -103,7 +103,7 @@ def cmd_predegree(args) -> Outcome:
 
     check_limit(f"--n {args.n}: the group size n + 1 =", args.n + 1, MAX_GROUP_M)
     result = _row_result(table1_row(args.n))
-    return {"target": "quadric", "n": args.n}, result, result["polynomial"]
+    return result, result["polynomial"]
 
 
 def cmd_segre_class(args) -> Outcome:
@@ -112,13 +112,13 @@ def cmd_segre_class(args) -> Outcome:
     space = _segre_space("--factors", args.factors)
     cls = segre.segre_class_pushforward(space)
     result = {"ambient_dim": segre.ambient_dim(space), "terms": cls.to_records()}
-    return {"factors": list(space.factor_dims)}, result, str(cls)
+    return result, str(cls)
 
 
 def cmd_group_degree(args) -> Outcome:
     check_limit("--m", args.m, MAX_GROUP_M)
     value = deg_so(args.m) if args.command == "deg-so" else deg_po(args.m)
-    return {"m": args.m}, {"degree": value}, str(value)
+    return {"degree": value}, str(value)
 
 
 def cmd_table(args) -> Outcome:
@@ -134,7 +134,7 @@ def cmd_table(args) -> Outcome:
     else:
         rows = [{"dim_l": d, "count": c} for d, c in table2()]
         text = "\n".join(f"dim L = {r['dim_l']}: {r['count']}" for r in rows)
-    return {"which": args.which}, {"rows": rows}, text
+    return {"rows": rows}, text
 
 
 def cmd_verify(args) -> Outcome:
@@ -142,7 +142,7 @@ def cmd_verify(args) -> Outcome:
 
     check_limit("--samples", args.samples, MAX_TANGENT_SAMPLES)
     report = run_tangent_checks(seed=args.seed, samples=args.samples)
-    return {"what": "tangents", "seed": args.seed, "samples": args.samples}, report.to_payload(), None
+    return report.to_payload(), None
 
 
 def cmd_member(args) -> Outcome:
@@ -150,7 +150,7 @@ def cmd_member(args) -> Outcome:
 
     phi = ProjMatrix.from_flat(args.matrix)
     member = base_scheme_member(phi)
-    return {"matrix": [str(x) for x in args.matrix]}, {"member": member}, "true" if member else "false"
+    return {"member": member}, "true" if member else "false"
 
 
 def cmd_coeff(args) -> Outcome:
@@ -163,8 +163,7 @@ def cmd_coeff(args) -> Outcome:
         cls = 2 * cls
     ambient = segre.ambient_dim(space)
     value = predegree_coefficient(ambient, args.d, cls, args.i)
-    inputs = {"i": args.i, "d": args.d, "segre_factors": list(space.factor_dims), "double": args.double}
-    return inputs, {"coefficient": value}, str(value)
+    return {"coefficient": value}, str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        inputs, result, text = args.func(args)
+        result, text = args.func(args)
     except IntegralityError as exc:
         print(f"internal integrality failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRALITY
@@ -232,6 +231,7 @@ def main(argv=None) -> int:
     if text is None or args.json:
         import json
 
+        inputs = {key: value for key, value in vars(args).items() if key not in ("command", "json", "func")}
         print(json.dumps(_json_ints({"command": args.command, "inputs": inputs, "result": result}), indent=2))
     else:
         print(text)

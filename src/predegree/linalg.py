@@ -114,9 +114,9 @@ def rank(rows: Iterable[Sequence]) -> int:
 class LinearSubspace:
     """Linear span inside a fixed coordinate space.
 
-    The basis is the reduced row echelon form with each row scaled to the
-    primitive integer row whose pivot is positive, so two subspaces are equal
-    as dataclasses exactly when they are equal as subspaces.
+    The basis is the reduced row echelon form, each row the primitive integer
+    row with a positive pivot.  The constructor trusts its basis, so for bases
+    built by span, dataclass equality is subspace equality.
     """
 
     ambient_dim: int

@@ -194,14 +194,14 @@ def random_projective_point(rng: random.Random, length: int) -> Vector:
             return tuple(a * scale // b for a, b in draws)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
     detail: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TangentReport:
     seed: int
     samples: int

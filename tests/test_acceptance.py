@@ -6,12 +6,12 @@ criterion.
 
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import factorial, prod
 
 from predegree import cli
 from predegree.chow import ChowClass, ProductSpace
-from predegree.polynomial import deg_po, deg_so, predegree_coefficient
+from predegree.polynomial import deg_po, deg_so, predegree_coefficient, predegree_from_segre
 from predegree.quadric import ProjMatrix, base_scheme_member, doubled_ruling_segre_class, sigma1, sigma2, table1_row, table2
 from predegree.segre import normal_inverse_chern, segre_class_pushforward
 from predegree.tangent import (
@@ -215,3 +215,58 @@ def test_criterion_11_membership_property():
     identity = ProjMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert not base_scheme_member(identity)
     report(11, "both parameterizations land in the base locus for 100 seeded samples; the identity does not")
+
+
+def power_series(numerator_weights, denominator_weights, top):
+    """Coefficients of t^0..t^top in prod(1 + w t) / prod(1 + w' t), as integers."""
+    series = [1] + [0] * top
+    for w in numerator_weights:
+        for m in range(top, 0, -1):
+            series[m] += w * series[m - 1]
+    for w in denominator_weights:
+        for m in range(1, top + 1):
+            series[m] -= w * series[m - 1]
+    return series
+
+
+def localized_segre_sums(seed):
+    """s_0..s_15 of the base locus of the P^3 quadric by the torus fixed-point sum, n = 3.
+
+    Z~ = P(Hom(C^4, S)) over OG(2, 4), S the tautological subbundle, maps to
+    P^15 = P(Hom(C^4, C^4)) onto both ruling components.  The torus acts on E_ab
+    with weight w_ab = lam_a - mu_b, lam_(3-a) = -lam_a, so that it preserves
+    q = x0 x3 + x1 x2.  The fixed points of Z~ are the isotropic coordinate planes
+    L (one index of {0, 3} and one of {1, 2}) times the E_ij with i in L; there
+    T Z~ has the weight -lam_a - lam_b of Lambda^2 S^* (L = {a, b}) and the fiber
+    weights w_ab - w_ij over L x [0, 3], and T P^15 has w_ab - w_ij over all
+    (a, b), both without (a, b) = (i, j).  H restricts to -w_ij, and s_c is the sum over fixed points
+    of (-w_ij)^(15 - c) [c(T Z~) / c(T P^15)]_(dim Z~ - 15 + c) / e(T Z~).
+    """
+    rng = random.Random(seed)
+    lam0, lam1 = (rng.randint(-1000, 1000) for _ in range(2))
+    lam = (lam0, lam1, -lam1, -lam0)
+    mu = [rng.randint(-1000, 1000) for _ in range(4)]
+    w = {(a, b): lam[a] - mu[b] for a in range(4) for b in range(4)}
+    ambient_dim, z_dim = 15, 8
+    sums = [Fraction(0)] * (ambient_dim + 1)
+    for plane in product((0, 3), (1, 2)):
+        for i, j in product(plane, range(4)):
+            fiber = [w[a, b] - w[i, j] for a, b in product(plane, range(4)) if (a, b) != (i, j)]
+            tangent = [-lam[plane[0]] - lam[plane[1]], *fiber]
+            ambient = [w[e] - w[i, j] for e in w if e != (i, j)]
+            series = power_series(tangent, ambient, z_dim)
+            for c in range(ambient_dim - z_dim, ambient_dim + 1):
+                sums[c] += Fraction((-w[i, j]) ** (ambient_dim - c) * series[z_dim - ambient_dim + c], prod(tangent))
+    return sums
+
+
+def test_criterion_12_segre_class_by_torus_localization():
+    # a second derivation of the whole P^3 polynomial, independent of the Segre pushforward
+    sums = localized_segre_sums(seed=1)
+    assert localized_segre_sums(seed=2) == sums
+    assert all(s.denominator == 1 for s in sums)
+    assert sums == [doubled_ruling_segre_class().coefficient((c,)) for c in range(16)]
+    localized = ChowClass(P15, {(c,): s for c, s in enumerate(sums) if s})
+    coeffs = predegree_from_segre(15, 2, localized, 9).coeffs
+    assert coeffs == (1, 2, 4, 8, 16, 32, 64, 112, 140, 40) + (0,) * 6
+    report(12, "the torus fixed-point sum over 32 points gives the doubled Segre class and the ten golden coefficients")

@@ -127,6 +127,18 @@ def test_member(capsys):
     assert code == 0 and out.strip() == "true"
 
 
+def test_member_json_echoes_rationals_in_lowest_terms(capsys):
+    # 0.5 and 2/4 are echoed as "1/2" and answered as the 1/2 spelling is
+    payloads = []
+    for half in ("1/2", "0.5", "2/4"):
+        code, out, _ = run_cli(capsys, "member", "--matrix", ",".join([half] + ["0"] * 14 + [half]), "--json")
+        assert code == 0
+        payloads.append(json.loads(out))
+    assert payloads[0]["inputs"] == {"matrix": ["1/2"] + ["0"] * 14 + ["1/2"]}
+    assert payloads[0]["result"] == {"member": False}
+    assert payloads[1] == payloads[2] == payloads[0]
+
+
 def test_coeff_values(capsys):
     for i, expected in ((7, "112"), (8, "140"), (9, "40")):
         code, out, _ = run_cli(capsys, "coeff", "--i", str(i), "--double")

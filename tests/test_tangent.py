@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -288,6 +289,15 @@ def test_run_tangent_checks_passes():
     assert payload["seed"] == 123
     assert payload["all_passed"] is True
     assert len(payload["checks"]) == len(report.checks)
+
+
+def test_reports_are_frozen():
+    # README promises immutable values; a report cannot change after it is made.
+    report = run_tangent_checks(seed=0, samples=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.checks[0].passed = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.seed = 1
 
 
 def test_run_tangent_checks_takes_an_integral_sample_count(monkeypatch):
