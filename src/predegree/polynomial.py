@@ -11,8 +11,9 @@ counts used to assemble the quadric tables.
 
 On P^N everything is an integer binomial series, so nothing here inverts a
 class: the twist by O(t) sends s_j H^j to s_j sum_k C(j+k-1, k) (-t)^k H^{j+k},
-and for d >= 1, a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j over the nonzero s_j:
-each a_i costs one pass over the terms of the Segre class, in any order.
+and for d >= 1, a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j over the nonzero s_j.
+One a_i costs one pass over the Segre terms; the prefix a_0 .. a_m costs one pass
+over a_j .. a_m per term s_j, by running integer products.  Neither depends on term order.
 """
 
 from __future__ import annotations
@@ -104,42 +105,29 @@ def tensor_class(cls: ChowClass, twist: int) -> ChowClass:
     return cls._built(ambient, [((c,), value) for c, value in enumerate(twisted)])
 
 
-def _coefficients(n_total: int, d: int, segre_class: ChowClass, indices) -> list[int]:
-    """Multidegrees a_i at the given indices, read off the Segre class in closed form.
-
-    The degree of H^{N-i} (1 - dH)^{-1} ([P^N] - S twisted by O(-d)) folds,
-    by the hockey-stick identity, into a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j
-    over the nonzero terms s_j only.  Raises ValueError for a degree d < 1.
-    """
-    n_total, d = index(n_total), index(d)
-    if d < 1:
-        raise ValueError("the hypersurface degree d must be at least 1")
-    if segre_class.ambient.factor_dims != (n_total,):
-        raise ValueError("the Segre class must live on the same projective space")
-    terms = segre_class.terms.items()
-    coeffs = []
-    for i in indices:
-        value = d ** i
-        for (j,), s_j in terms:
-            if j <= i:
-                value -= comb(i, j) * d ** (i - j) * s_j
-        if value.denominator != 1:
-            raise IntegralityError(f"coefficient a_{i} evaluated to the non-integer {value}")
-        coeffs.append(int(value))
-    return coeffs
-
-
 def predegree_coefficient(ambient_total_dim: int, d: int, segre_class: ChowClass, i: int) -> int:
     """Multidegree a_i extracted from a class agreeing with the Segre class
     of the base locus up to codimension i.
 
-    Evaluates the degree of H^{N-i} (1 - dH)^{-1} ([P^N] - S twisted by O(-d))
-    for d >= 1 and insists on an integer result.
+    The degree of H^{N-i} (1 - dH)^{-1} ([P^N] - S twisted by O(-d)) folds,
+    by the hockey-stick identity, into a_i = d^i - sum_{j<=i} C(i, j) d^{i-j} s_j
+    over the nonzero s_j, for d >= 1; the result must be an integer.
     """
     i = index(i)
     if not 0 <= i <= ambient_total_dim:
         raise ValueError("coefficient index out of range")
-    return _coefficients(ambient_total_dim, d, segre_class, [i])[0]
+    n_total, d = index(ambient_total_dim), index(d)
+    if d < 1:
+        raise ValueError("the hypersurface degree d must be at least 1")
+    if segre_class.ambient.factor_dims != (n_total,):
+        raise ValueError("the Segre class must live on the same projective space")
+    value = d ** i
+    for (j,), s_j in segre_class.terms.items():
+        if j <= i:
+            value -= comb(i, j) * d ** (i - j) * s_j
+    if value.denominator != 1:
+        raise IntegralityError(f"coefficient a_{i} evaluated to the non-integer {value}")
+    return int(value)
 
 
 def predegree_from_segre(ambient_total_dim: int, d: int, segre_class: ChowClass, orbit_dim: int) -> PredegreePolynomial:
@@ -147,16 +135,32 @@ def predegree_from_segre(ambient_total_dim: int, d: int, segre_class: ChowClass,
 
     The caller certifies that the supplied class agrees with the Segre class
     of the base locus away from a locus of codimension greater than
-    ``orbit_dim``; coefficients beyond the orbit dimension vanish.
+    ``orbit_dim``; coefficients beyond the orbit dimension vanish.  Each s_j
+    updates a_j .. a_orbit_dim, with w = C(i, j) d^{i-j} carried as w d (i+1) // (i+1-j).
     """
     if not 0 <= orbit_dim <= ambient_total_dim:
         raise ValueError("orbit dimension out of range")
     n = isqrt(ambient_total_dim + 1) - 1
     if (n + 1) ** 2 != ambient_total_dim + 1:
         raise ValueError("ambient dimension is not of the form n^2 + 2n")
-    coeffs = _coefficients(ambient_total_dim, d, segre_class, range(orbit_dim + 1))
-    coeffs += [0] * (ambient_total_dim - orbit_dim)
-    return PredegreePolynomial(n, tuple(coeffs))
+    orbit_dim, n_total, d = index(orbit_dim), index(ambient_total_dim), index(d)
+    if d < 1:
+        raise ValueError("the hypersurface degree d must be at least 1")
+    if segre_class.ambient.factor_dims != (n_total,):
+        raise ValueError("the Segre class must live on the same projective space")
+    coeffs, power = [], 1
+    for _ in range(orbit_dim + 1):
+        coeffs.append(power)
+        power *= d
+    for (j,), s_j in segre_class.terms.items():
+        w = 1
+        for i in range(j, orbit_dim + 1):
+            coeffs[i] -= w * s_j
+            w = w * d * (i + 1) // (i + 1 - j)
+    for i, value in enumerate(coeffs):
+        if value.denominator != 1:
+            raise IntegralityError(f"coefficient a_{i} evaluated to the non-integer {value}")
+    return PredegreePolynomial(n, tuple(map(int, coeffs)) + (0,) * (n_total - orbit_dim))
 
 
 def chern_character_form(poly: PredegreePolynomial) -> tuple[Fraction, ...]:

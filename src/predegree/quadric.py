@@ -176,10 +176,9 @@ def doubled_ruling_segre_class() -> ChowClass:
     """Class of the base locus used for the quadric surface: both ruling
     components contribute the same pushed-forward Segre class, so the sum is
     twice the class of one P^1 x P^7."""
-    from . import segre
-    from .chow import ProductSpace
+    from . import chow, segre
 
-    return 2 * segre.segre_class_pushforward(ProductSpace((1, 7)))
+    return 2 * segre.segre_class_pushforward(chow.ProductSpace((1, 7)))
 
 
 def predegree_quadric_p3() -> PredegreePolynomial:

@@ -200,12 +200,19 @@ class CheckResult:
     passed: bool
     detail: dict = field(default_factory=dict)
 
+    __hash__ = None  # detail is a dict, so a result has no hash
+
 
 @dataclass(frozen=True)
 class TangentReport:
     seed: int
     samples: int
-    checks: list[CheckResult]
+    checks: tuple[CheckResult, ...]
+
+    __hash__ = None  # each check's detail is a dict, so a report has no hash
+
+    def __post_init__(self):
+        object.__setattr__(self, "checks", tuple(self.checks))
 
     @property
     def all_passed(self) -> bool:

@@ -384,12 +384,17 @@ def test_polynomial_matches_generic_inversion(cls, d, data):
         assert poly.coeffs == tuple(expected) + (0,) * (n_total - orbit_dim)
 
 
-# Mostly non-positive integer s_j on P^N, N = n^2 + 2n, keep many coefficients non-negative.
-integer_classes = st.sampled_from([3, 8, 15]).flatmap(
-    lambda n: st.dictionaries(st.integers(0, n).map(lambda j: (j,)), st.integers(-9, 1), min_size=1, max_size=8).map(
-        lambda terms: ChowClass(ProductSpace((n,)), terms)
+# Mostly non-positive s_j on P^N, N = n^2 + 2n, keep many coefficients non-negative.
+def target_classes(coeffs):
+    return st.sampled_from([3, 8, 15]).flatmap(
+        lambda n: st.dictionaries(st.integers(0, n).map(lambda j: (j,)), coeffs, min_size=1, max_size=8).map(
+            lambda terms: ChowClass(ProductSpace((n,)), terms)
+        )
     )
-)
+
+
+integer_classes = target_classes(st.integers(-9, 1))
+mixed_classes = target_classes(st.one_of(st.integers(-9, 1), st.fractions(-9, 1, max_denominator=4)))
 
 
 def coefficient_or_error(cls, d, i):
@@ -399,15 +404,30 @@ def coefficient_or_error(cls, d, i):
         return str(error)
 
 
+def polynomial_or_error(cls, d, orbit_dim):
+    try:
+        return predegree_from_segre(cls.ambient.total_dim, d, cls, orbit_dim).coeffs
+    except (IntegralityError, ValueError) as error:
+        return type(error).__name__, str(error)
+
+
 @settings(max_examples=60, deadline=None)
-@given(projective_classes(st.integers(0, 15)), st.integers(1, 4), st.randoms(use_true_random=False))
+@given(
+    projective_classes(st.one_of(st.sampled_from([3, 8, 15]), st.integers(0, 15))),
+    st.integers(1, 4),
+    st.randoms(use_true_random=False),
+)
 def test_coefficients_do_not_depend_on_term_order(cls, d, rng):
     items = list(cls.terms.items())
     rng.shuffle(items)
     orders = [ChowClass(cls.ambient, dict(items)), ChowClass(cls.ambient, dict(sorted(items, reverse=True)))]
-    for i in range(cls.ambient.total_dim + 1):
+    n_total = cls.ambient.total_dim
+    for i in range(n_total + 1):
         expected = coefficient_or_error(cls, d, i)
         assert all(coefficient_or_error(other, d, i) == expected for other in orders)
+        if n_total in (3, 8, 15):
+            expected = polynomial_or_error(cls, d, i)
+            assert all(polynomial_or_error(other, d, i) == expected for other in orders)
 
 
 def test_fraction_class_raises_at_its_first_non_integral_index():
@@ -421,15 +441,23 @@ def test_fraction_class_raises_at_its_first_non_integral_index():
 
 
 @settings(max_examples=60, deadline=None)
-@given(integer_classes, st.integers(1, 4), st.data())
-def test_polynomial_coefficients_are_the_single_coefficients(cls, d, data):
+@given(st.one_of(integer_classes, mixed_classes), st.integers(1, 4))
+def test_polynomial_coefficients_are_the_single_coefficients(cls, d):
     n_total = cls.ambient.total_dim
-    single = [predegree_coefficient(n_total, d, cls, i) for i in range(n_total + 1)]
-    # The longest prefix of non-negative coefficients is a valid orbit dimension (a_0 = 1 - s_0 >= 0).
-    prefix = next((i for i, c in enumerate(single) if c < 0), n_total + 1) - 1
-    orbit_dim = data.draw(st.integers(0, prefix))
-    poly = predegree_from_segre(n_total, d, cls, orbit_dim)
-    assert all(poly.coeffs[i] == single[i] and type(poly.coeffs[i]) is int for i in range(orbit_dim + 1))
+    single = [coefficient_or_error(cls, d, i) for i in range(n_total + 1)]
+    for orbit_dim in range(n_total + 1):
+        prefix = single[: orbit_dim + 1]
+        # The whole prefix is checked for integrality before any sign.
+        error = next((value for value in prefix if isinstance(value, str)), None)
+        if error is not None:
+            assert polynomial_or_error(cls, d, orbit_dim) == ("IntegralityError", error)
+        elif min(prefix) < 0:
+            with pytest.raises(ValueError, match="negative"):
+                predegree_from_segre(n_total, d, cls, orbit_dim)
+        else:
+            poly = predegree_from_segre(n_total, d, cls, orbit_dim)
+            assert poly.coeffs[: orbit_dim + 1] == tuple(prefix)
+            assert all(type(c) is int for c in poly.coeffs)
 
 
 @pytest.mark.parametrize("ambient_dim", [1.0, 1.5, Fraction(1)])

@@ -298,6 +298,12 @@ def test_reports_are_frozen():
         report.checks[0].passed = False
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.seed = 1
+    with pytest.raises(AttributeError):
+        report.checks.append(report.checks[0])
+    with pytest.raises(TypeError):
+        hash(report)
+    with pytest.raises(TypeError):
+        hash(report.checks[0])
 
 
 def test_run_tangent_checks_takes_an_integral_sample_count(monkeypatch):
