@@ -18,7 +18,7 @@ everything here is safe to share between threads.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -86,7 +86,7 @@ class ChowClass:
     """Element of the Chow ring of a product of projective spaces."""
 
     ambient: ProductSpace
-    terms: Mapping[Exponents, Rational] = field(default_factory=dict)
+    terms: Mapping[Exponents, Rational]
 
     # The terms are a dict, so a class has no hash.
     __hash__ = None
@@ -250,21 +250,21 @@ class ChowClass:
             return "0"
         r = self.ambient.num_factors
         names = ["H"] if r == 1 else [f"h{i + 1}" for i in range(r)]
-        pieces = []
+        out = ""
         for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
             coeff = self.terms[exps]
+            if coeff < 0:
+                out += " - " if out else "-"
+            elif out:
+                out += " + "
+            size = abs(coeff)
             monom = "*".join(
                 f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(exps) if e
             )
             if not monom:
-                pieces.append(str(coeff))
-            elif coeff == 1:
-                pieces.append(monom)
-            elif coeff == -1:
-                pieces.append(f"-{monom}")
+                out += str(size)
+            elif size == 1:
+                out += monom
             else:
-                pieces.append(f"{coeff}*{monom}")
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+                out += f"{size}*{monom}"
         return out

@@ -76,7 +76,7 @@ def format_polynomial(coeffs) -> str:
         else:
             label = str(c)
         if i == 0:
-            pieces.append(label or "1")
+            pieces.append(label)
         elif i == 1:
             pieces.append(f"{label}t")
         else:

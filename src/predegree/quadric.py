@@ -12,7 +12,7 @@ and the two summary tables.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .linalg import Matrix, Rational, Vector, coerce, dot, flatten, mat_mul, mat_vec, outer
@@ -84,7 +84,6 @@ class QuadricGram:
     """
 
     entries: Matrix
-    polar: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = _matrix(self.entries, MATRIX_SIDE)

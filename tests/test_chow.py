@@ -347,6 +347,10 @@ def test_str_renders_a_coefficient_of_minus_one_as_a_sign():
     assert str(1 - H()) == "1 - H"
     assert str(H() - H(2)) == "H - H^2"
     assert str(-(k(0) * k(1, 2))) == "-h1*h2^2"
+    assert str(Fraction(-1, 2) * H()) == "-1/2*H"
+    assert str(Fraction(3, 2) - Fraction(1, 2) * H(2)) == "3/2 - 1/2*H^2"
+    assert str(-3 + H()) == "-3 + H"
+    assert str(Fraction(-2, 3) * k(0) * k(1) - 1) == "-1 - 2/3*h1*h2"
 
 
 @pytest.mark.parametrize(

@@ -220,6 +220,10 @@ def test_format_polynomial_sentinel():
     assert format_polynomial((1, 2, None, 8)) == "1 + 2t + *t^2 + 8t^3"
     assert format_polynomial((0, 0)) == "0"
     assert format_polynomial((1, 1, 1)) == "1 + t + t^2"
+    assert format_polynomial((None, 1)) == "* + t"
+    assert format_polynomial((0, 1, 0, 2)) == "t + 2t^3"
+    assert format_polynomial((0, None)) == "*t"
+    assert format_polynomial(()) == "0"
 
 
 def test_chern_character_form():
